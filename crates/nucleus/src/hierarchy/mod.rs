@@ -16,6 +16,21 @@
 //! nodes become children of the merged node. Each r-clique `R` is assigned
 //! (as an `own_clique`) to the node representing its component at
 //! threshold `κ(R)` — the maximal nucleus in which it first participates.
+//!
+//! The forest is a by-product of one disjoint-set pass (Sarıyüce–Pınar,
+//! *Fast Hierarchy Construction for Dense Subgraphs*), and it is built at
+//! about the cost of the peel it follows. No list of s-cliques is ever
+//! materialised or sorted: the r-cliques are counting-sorted by κ, and the
+//! **level walk** of threshold `k` reads the container rows of the κ = `k`
+//! cliques only. A container whose other members all have κ ≥ `k` has
+//! weight exactly `k`; its smallest-id κ = `k` member writes it into one
+//! reused buffer (`binom(s,r)` ids per s-clique), so each s-clique is
+//! emitted once, at its weight. The buffer is then unioned (path halving +
+//! union by rank). Nodes exist only where the forest has one: a component
+//! with no node yet just joins, a node of larger threshold nests directly
+//! under the merged node, and two nodes of the *same* threshold merge
+//! **smaller into larger**, so a `children`/`own_cliques` entry moves
+//! O(log n) times over the whole build however the ids are ordered.
 
 pub mod canonical;
 pub mod repair;
@@ -26,7 +41,7 @@ pub use repair::{repair_hierarchy, RepairStats};
 use hdsd_graph::{density, induced_subgraph, CsrGraph, VertexId};
 
 use crate::cancel::{CancelToken, Cancelled};
-use crate::space::CliqueSpace;
+use crate::space::{others_per_container, CliqueSpace};
 
 /// One nucleus in the hierarchy.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -187,9 +202,9 @@ pub fn build_hierarchy<S: CliqueSpace>(space: &S, kappa: &[u32]) -> Hierarchy {
 }
 
 /// [`build_hierarchy`] with cooperative cancellation: the token is
-/// checked every [`HIERARCHY_CANCEL_CHUNK`] materialized s-cliques and
-/// once per union–find threshold batch, so a tripped deadline aborts the
-/// build with bounded overshoot instead of running to completion.
+/// checked every [`HIERARCHY_CANCEL_CHUNK`] scanned r-cliques and once per
+/// union–find threshold batch, so a tripped deadline aborts the build with
+/// bounded overshoot instead of running to completion.
 ///
 /// # Panics
 /// Panics when `kappa.len() != space.num_cliques()`.
@@ -200,52 +215,36 @@ pub fn build_hierarchy_within<S: CliqueSpace>(
 ) -> Result<Hierarchy, Cancelled> {
     let n = space.num_cliques();
     assert_eq!(kappa.len(), n, "kappa length must match clique count");
-    let armed = cancel.is_armed();
-
-    // Materialize each s-clique once (from its minimum-id member), with
-    // weight w(S) = min κ over members.
-    let mut scliques: Vec<(u32, Vec<u32>)> = Vec::new();
-    for i in 0..n {
-        if armed && i % HIERARCHY_CANCEL_CHUNK == 0 {
-            cancel.check("hierarchy s-clique scan")?;
-        }
-        space.for_each_container(i, |others| {
-            if others.iter().any(|&o| o < i) {
-                return;
-            }
-            let mut members = Vec::with_capacity(others.len() + 1);
-            members.push(i as u32);
-            members.extend(others.iter().map(|&o| o as u32));
-            let w = members.iter().map(|&m| kappa[m as usize]).min().unwrap();
-            scliques.push((w, members));
-        });
-    }
-
     let mut fb = ForestBuilder::fresh(n);
-    fb.union_find_pass_within(scliques, kappa, cancel)?;
+    fb.level_walk(space, kappa, |_| false, cancel)?;
     Ok(fb.finalize((space.r(), space.s())))
 }
 
-/// r-cliques scanned between cancellation checks during hierarchy
-/// materialization.
+/// r-cliques scanned between cancellation checks during the hierarchy's
+/// s-clique scan.
 pub const HIERARCHY_CANCEL_CHUNK: usize = 4096;
+
+/// `node_of` value of a component that has no node yet.
+const NO_NODE: u32 = u32::MAX;
+/// `k` of a node absorbed by a same-threshold merge; dropped by
+/// [`ForestBuilder::finalize`].
+pub(crate) const TOMBSTONE: u32 = u32::MAX;
 
 /// The threshold-descending union–find state shared by [`build_hierarchy`]
 /// (which starts from an empty forest) and [`repair_hierarchy`] (which
 /// starts pre-seeded with the preserved subtrees of the old forest).
 pub(crate) struct ForestBuilder {
-    /// Growing node arena; may contain tombstones (`k == u32::MAX`).
+    /// Growing node arena; may contain tombstones (`k == TOMBSTONE`).
     pub(crate) nodes: Vec<HierarchyNode>,
-    /// Union–find parent over r-cliques.
+    /// Union–find parent over r-cliques (path halving in [`find`]).
     pub(crate) parent: Vec<u32>,
-    /// Component root → current node id (`u32::MAX` when none).
+    /// Union–find rank of each component root.
+    pub(crate) rank: Vec<u8>,
+    /// Component root → current node id ([`NO_NODE`] when none).
     pub(crate) node_of: Vec<u32>,
-    /// Cliques already seen by some processed s-clique (or belonging to a
-    /// pre-seeded preserved subtree, whose `own_cliques` already exist).
-    pub(crate) activated: Vec<bool>,
 }
 
-pub(crate) fn find(parent: &mut [u32], mut x: u32) -> u32 {
+fn find(parent: &mut [u32], mut x: u32) -> u32 {
     while parent[x as usize] != x {
         parent[x as usize] = parent[parent[x as usize] as usize];
         x = parent[x as usize];
@@ -253,38 +252,31 @@ pub(crate) fn find(parent: &mut [u32], mut x: u32) -> u32 {
     x
 }
 
-/// Ensures the component rooted at `root` has a node at threshold `k`,
-/// wrapping or creating as needed, and returns that node id.
-fn node_at_k(nodes: &mut Vec<HierarchyNode>, node_of: &mut [u32], root: u32, k: u32) -> u32 {
-    let cur = node_of[root as usize];
-    if cur == u32::MAX {
-        let id = nodes.len() as u32;
-        nodes.push(HierarchyNode {
-            k,
-            parent: None,
-            children: Vec::new(),
-            own_cliques: Vec::new(),
-            size: 0,
-        });
-        node_of[root as usize] = id;
-        id
-    } else if nodes[cur as usize].k > k {
-        // Component persists to a smaller threshold: wrap it.
-        let id = nodes.len() as u32;
-        nodes.push(HierarchyNode {
-            k,
-            parent: None,
-            children: vec![cur],
-            own_cliques: Vec::new(),
-            size: 0,
-        });
-        nodes[cur as usize].parent = Some(id);
-        node_of[root as usize] = id;
-        id
-    } else {
-        debug_assert_eq!(nodes[cur as usize].k, k, "thresholds processed descending");
-        cur
+/// Hangs `child` (a node of larger threshold, or [`NO_NODE`]) under `node`.
+fn adopt(nodes: &mut [HierarchyNode], node: u32, child: u32) {
+    if child != NO_NODE {
+        nodes[child as usize].parent = Some(node);
+        nodes[node as usize].children.push(child);
     }
+}
+
+/// Merges two nodes of one threshold, moving the shorter lists into the
+/// longer (so a list entry moves at most log₂ n times over a whole build),
+/// and returns the survivor.
+fn absorb(nodes: &mut [HierarchyNode], a: u32, b: u32) -> u32 {
+    let len = |x: u32| nodes[x as usize].children.len() + nodes[x as usize].own_cliques.len();
+    let (winner, loser) = if len(a) >= len(b) { (a, b) } else { (b, a) };
+    let mut kids = std::mem::take(&mut nodes[loser as usize].children);
+    let mut own = std::mem::take(&mut nodes[loser as usize].own_cliques);
+    #[cfg(test)]
+    tests::MERGE_MOVES.with(|m| m.set(m.get() + kids.len() + own.len()));
+    for &c in &kids {
+        nodes[c as usize].parent = Some(winner);
+    }
+    nodes[winner as usize].children.append(&mut kids);
+    nodes[winner as usize].own_cliques.append(&mut own);
+    nodes[loser as usize].k = TOMBSTONE;
+    winner
 }
 
 impl ForestBuilder {
@@ -293,115 +285,169 @@ impl ForestBuilder {
         ForestBuilder {
             nodes: Vec::new(),
             parent: (0..n as u32).collect(),
-            node_of: vec![u32::MAX; n],
-            activated: vec![false; n],
+            rank: vec![0; n],
+            node_of: vec![NO_NODE; n],
         }
     }
 
-    /// Processes `scliques` (weight, member cliques) in descending weight
-    /// order, creating/merging nodes and assigning each clique activated at
-    /// its own κ to its component's node at that threshold.
-    pub(crate) fn union_find_pass(&mut self, scliques: Vec<(u32, Vec<u32>)>, kappa: &[u32]) {
-        self.union_find_pass_within(scliques, kappa, &CancelToken::none())
-            .expect("an unarmed token never cancels");
-    }
-
-    /// [`Self::union_find_pass`] with a cancellation check at the top of
-    /// every threshold batch — the natural unit of this pass, so a
-    /// tripped token overshoots by at most one batch.
-    pub(crate) fn union_find_pass_within(
+    /// Runs the union–find over every s-clique with a non-`preserved`
+    /// member, thresholds descending, creating/merging nodes and assigning
+    /// each walked r-clique to its component's node at its own κ. Returns
+    /// the number of s-cliques processed.
+    ///
+    /// The non-preserved r-cliques are counting-sorted by κ; level `k`
+    /// scans the container rows of its κ = `k` cliques into one reused
+    /// buffer of `group + 1`-member s-cliques, then unions that buffer.
+    /// An s-clique of weight `k` always has a walked member with κ = `k`
+    /// (for repair, see the module docs of [`repair`]), so none is missed.
+    ///
+    /// The token is checked every [`HIERARCHY_CANCEL_CHUNK`] scanned
+    /// r-cliques and before every threshold's unions.
+    pub(crate) fn level_walk<S: CliqueSpace>(
         &mut self,
-        mut scliques: Vec<(u32, Vec<u32>)>,
+        space: &S,
         kappa: &[u32],
+        preserved: impl Fn(usize) -> bool,
         cancel: &CancelToken,
-    ) -> Result<(), Cancelled> {
+    ) -> Result<usize, Cancelled> {
         let armed = cancel.is_armed();
-        scliques.sort_unstable_by_key(|sc| std::cmp::Reverse(sc.0));
-        let (nodes, parent) = (&mut self.nodes, &mut self.parent);
-        let (node_of, activated) = (&mut self.node_of, &mut self.activated);
-        let mut pending: Vec<u32> = Vec::new(); // κ == k cliques activated at this threshold
+        let walked = || (0..kappa.len()).filter(|&i| !preserved(i));
+        let Some(max_k) = walked().map(|i| kappa[i] as usize).max() else {
+            return Ok(0);
+        };
+        // Level k is order[bounds[k]..bounds[k + 1]], ids ascending.
+        let mut bounds = vec![0usize; max_k + 2];
+        for i in walked() {
+            bounds[kappa[i] as usize + 1] += 1;
+        }
+        for k in 0..=max_k {
+            bounds[k + 1] += bounds[k];
+        }
+        let mut order = vec![0u32; bounds[max_k + 1]];
+        let mut cursor = bounds.clone();
+        for i in walked() {
+            let at = &mut cursor[kappa[i] as usize];
+            order[*at] = i as u32;
+            *at += 1;
+        }
 
-        let mut idx = 0usize;
-        while idx < scliques.len() {
+        let group = others_per_container(space);
+        let mut buf: Vec<u32> = Vec::new(); // this level's s-cliques, group + 1 members each
+        let mut pending: Vec<u32> = Vec::new(); // this level's cliques with a weight-k container
+        let (mut scanned, mut processed) = (0usize, 0usize);
+        for k in (0..=max_k as u32).rev() {
+            buf.clear();
+            pending.clear();
+            for &i in &order[bounds[k as usize]..bounds[k as usize + 1]] {
+                if armed && scanned % HIERARCHY_CANCEL_CHUNK == 0 {
+                    cancel.check("hierarchy s-clique scan")?;
+                }
+                scanned += 1;
+                let mut at_level = false;
+                space.for_each_container(i as usize, |others| {
+                    // Weight k iff no other member has a smaller κ; emitted
+                    // by the smallest-id walked member with κ = k.
+                    let mut emits = true;
+                    for &o in others {
+                        if kappa[o] < k {
+                            return;
+                        }
+                        emits &= kappa[o] > k || o > i as usize || preserved(o);
+                    }
+                    at_level = true;
+                    if emits {
+                        buf.push(i);
+                        buf.extend(others.iter().map(|&o| o as u32));
+                    }
+                });
+                if at_level {
+                    pending.push(i);
+                }
+            }
+            if buf.is_empty() {
+                continue;
+            }
             if armed {
                 cancel.check("hierarchy union-find")?;
             }
-            let k = scliques[idx].0;
-            let mut end = idx;
-            while end < scliques.len() && scliques[end].0 == k {
-                end += 1;
-            }
-            pending.clear();
-            for (_, members) in &scliques[idx..end] {
-                for &m in members {
-                    if !activated[m as usize] {
-                        activated[m as usize] = true;
-                        debug_assert!(kappa[m as usize] >= k);
-                        if kappa[m as usize] == k {
-                            pending.push(m);
-                        }
+            processed += buf.len() / (group + 1);
+            for members in buf.chunks_exact(group + 1) {
+                let mut root = find(&mut self.parent, members[0]);
+                for &m in &members[1..] {
+                    let other = find(&mut self.parent, m);
+                    if other != root {
+                        root = self.link(root, other, k);
                     }
                 }
-                // Union all members; the surviving component's node is the
-                // merge of the members' nodes at this threshold.
-                let mut it = members.iter();
-                let root = find(parent, *it.next().unwrap());
-                // Bring the first component to threshold k.
-                node_at_k(nodes, node_of, root, k);
-                for &m in it {
-                    let rm = find(parent, m);
-                    if rm == root {
-                        continue;
-                    }
-                    let nb = node_at_k(nodes, node_of, rm, k);
-                    let na = node_of[root as usize];
-                    // Merge rm into root (both nodes now have threshold k):
-                    // absorb nb into na.
-                    if na != nb {
-                        let mut kids = std::mem::take(&mut nodes[nb as usize].children);
-                        for &c in &kids {
-                            nodes[c as usize].parent = Some(na);
-                        }
-                        nodes[na as usize].children.append(&mut kids);
-                        let own = std::mem::take(&mut nodes[nb as usize].own_cliques);
-                        nodes[na as usize].own_cliques.extend(own);
-                        // nb becomes an absorbed tombstone; it is removed at
-                        // the compaction step below.
-                        nodes[nb as usize].k = u32::MAX;
-                        nodes[nb as usize].parent = Some(na);
-                    }
-                    parent[rm as usize] = root;
-                    node_of[rm as usize] = u32::MAX;
-                    node_of[root as usize] = na;
-                }
             }
-            // Every r-clique activated at its own κ belongs to its
-            // component's node at this threshold.
+            // Every emitted s-clique brought in a fresh κ = k member, so
+            // its component was linked at this threshold and has a node.
             for &m in &pending {
-                let root = find(parent, m);
-                let node = node_of[root as usize];
-                debug_assert_ne!(node, u32::MAX);
-                nodes[node as usize].own_cliques.push(m);
+                let node = self.node_of[find(&mut self.parent, m) as usize];
+                debug_assert_ne!(node, NO_NODE);
+                self.nodes[node as usize].own_cliques.push(m);
             }
-            idx = end;
         }
-        Ok(())
+        Ok(processed)
+    }
+
+    /// Unions the components rooted at `a` and `b` at threshold `k` and
+    /// returns the merged root. The merged component's node at `k` is
+    /// whichever side already has one (both: [`absorb`]), else a new node;
+    /// a side whose node has a larger threshold nests under it, and a side
+    /// with no node just joins.
+    fn link(&mut self, a: u32, b: u32, k: u32) -> u32 {
+        let nodes = &mut self.nodes;
+        let (na, nb) = (self.node_of[a as usize], self.node_of[b as usize]);
+        debug_assert!(na == NO_NODE || nodes[na as usize].k >= k, "thresholds descend");
+        debug_assert!(nb == NO_NODE || nodes[nb as usize].k >= k, "thresholds descend");
+        let at_k = |n: u32| n != NO_NODE && nodes[n as usize].k == k;
+        let (a_at_k, b_at_k) = (at_k(na), at_k(nb));
+        let node = match (a_at_k, b_at_k) {
+            (true, true) => absorb(nodes, na, nb),
+            (true, false) => na,
+            (false, true) => nb,
+            (false, false) => {
+                nodes.push(HierarchyNode {
+                    k,
+                    parent: None,
+                    children: Vec::new(),
+                    own_cliques: Vec::new(),
+                    size: 0,
+                });
+                nodes.len() as u32 - 1
+            }
+        };
+        if !a_at_k {
+            adopt(nodes, node, na);
+        }
+        if !b_at_k {
+            adopt(nodes, node, nb);
+        }
+        let (root, child) =
+            if self.rank[a as usize] >= self.rank[b as usize] { (a, b) } else { (b, a) };
+        if self.rank[root as usize] == self.rank[child as usize] {
+            self.rank[root as usize] += 1;
+        }
+        self.parent[child as usize] = root;
+        self.node_of[child as usize] = NO_NODE;
+        self.node_of[root as usize] = node;
+        root
     }
 
     /// Compacts tombstones, recomputes roots and sizes, and assembles the
     /// final [`Hierarchy`].
     pub(crate) fn finalize(self, rs: (usize, usize)) -> Hierarchy {
-        let nodes = self.nodes;
-        // Compact: drop tombstones (k == u32::MAX) and remap ids.
-        let mut remap = vec![u32::MAX; nodes.len()];
-        let mut compacted: Vec<HierarchyNode> = Vec::with_capacity(nodes.len());
-        for (i, node) in nodes.iter().enumerate() {
-            if node.k != u32::MAX {
-                remap[i] = compacted.len() as u32;
-                compacted.push(node.clone());
+        // Compact: drop tombstones and remap ids.
+        let mut remap = vec![u32::MAX; self.nodes.len()];
+        let mut nodes: Vec<HierarchyNode> = Vec::with_capacity(self.nodes.len());
+        for (i, node) in self.nodes.into_iter().enumerate() {
+            if node.k != TOMBSTONE {
+                remap[i] = nodes.len() as u32;
+                nodes.push(node);
             }
         }
-        for node in &mut compacted {
+        for node in &mut nodes {
             node.parent = node.parent.map(|p| {
                 debug_assert_ne!(remap[p as usize], u32::MAX, "parent is a tombstone");
                 remap[p as usize]
@@ -410,7 +456,6 @@ impl ForestBuilder {
                 *c = remap[*c as usize];
             }
         }
-        let mut nodes = compacted;
 
         let roots: Vec<u32> =
             (0..nodes.len() as u32).filter(|&i| nodes[i as usize].parent.is_none()).collect();
@@ -442,6 +487,69 @@ mod tests {
     use crate::peel::peel;
     use crate::space::{CoreSpace, Nucleus34Space, TrussSpace};
     use hdsd_graph::graph_from_edges;
+
+    thread_local! {
+        /// List entries (children + own cliques) moved by [`absorb`] on
+        /// this thread — the work the size-aware merge bounds.
+        pub(super) static MERGE_MOVES: std::cell::Cell<usize> =
+            const { std::cell::Cell::new(0) };
+    }
+
+    /// Builds the forest and returns it with the entries its merges moved.
+    fn build_counting_moves<S: CliqueSpace>(space: &S, kappa: &[u32]) -> (Hierarchy, usize) {
+        MERGE_MOVES.with(|m| m.set(0));
+        let h = build_hierarchy(space, kappa);
+        (h, MERGE_MOVES.with(|m| m.get()))
+    }
+
+    /// n·(⌈log₂ n⌉ + 1): what smaller-into-larger merging guarantees.
+    fn merge_bound(n: usize) -> usize {
+        n * (n.next_power_of_two().trailing_zeros() as usize + 1)
+    }
+
+    #[test]
+    fn merge_work_is_bounded_on_truss() {
+        let g = hdsd_datasets::holme_kim(5000, 8, 0.5, 11);
+        let sp = TrussSpace::precomputed(&g);
+        let kappa = peel(&sp).kappa;
+        let (h, moves) = build_counting_moves(&sp, &kappa);
+        assert!(h.len() > 1);
+        let n = sp.num_cliques();
+        assert!(moves <= merge_bound(n), "{moves} entries moved for {n} edges");
+    }
+
+    /// One giant 2-core assembled through a hub: spoke `x_j` (ids first)
+    /// carries its own K4 (a 3-core child node) and then meets the hub
+    /// (largest id), so every hub edge is emitted by a small fresh
+    /// component whose partner is the giant. Absorbing the partner into the
+    /// emitter's node re-moves the giant's child list on every spoke —
+    /// m²/2 entries; smaller-into-larger moves one entry per spoke.
+    #[test]
+    fn merge_work_is_bounded_on_adversarial_id_order() {
+        let m = 1000u32;
+        let hub = 5 * m;
+        let mut edges = Vec::new();
+        for j in 0..m {
+            let b = m + 4 * j; // K4 on b..b+4
+            for u in 0..4 {
+                for v in (u + 1)..4 {
+                    edges.push((b + u, b + v));
+                }
+            }
+            edges.push((j, b));
+            edges.push((j, hub));
+        }
+        let g = graph_from_edges(edges);
+        let sp = CoreSpace::new(&g);
+        let kappa = peel(&sp).kappa;
+        assert!((0..m).all(|j| kappa[j as usize] == 2) && kappa[hub as usize] == 2);
+        let (h, moves) = build_counting_moves(&sp, &kappa);
+        assert_eq!(h.roots.len(), 1, "one giant component");
+        assert_eq!(h.nodes[h.roots[0] as usize].children.len(), m as usize);
+        let n = sp.num_cliques();
+        assert!(moves >= m as usize - 1, "the spokes' nodes must really merge: {moves}");
+        assert!(moves <= merge_bound(n), "{moves} entries moved for {n} vertices");
+    }
 
     fn nested_core_graph() -> hdsd_graph::CsrGraph {
         // K5 {0..4} bridged to a 2-core triangle {5,6,7}, tail 8-9.

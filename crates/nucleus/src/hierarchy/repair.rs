@@ -1,12 +1,11 @@
 //! Incremental repair of the nucleus forest after an edge batch.
 //!
-//! PR 3 made every layer of the update path incremental except this one:
-//! the serving engine still dropped its forest on each batch and paid a
-//! full [`super::build_hierarchy`] — a global s-clique enumeration, a global sort,
-//! and a union–find over the whole clique universe — on the next region
-//! query. Following Sarıyüce–Pınar's *Fast Hierarchy Construction for
-//! Dense Subgraphs* (VLDB 2016) observation that the forest can be
-//! assembled from **local component information**, [`repair_hierarchy`]
+//! Without it the serving engine would drop its forest on each batch and
+//! pay a full [`super::build_hierarchy`] — a walk and a union–find over
+//! the whole clique universe — on the next region query. Following
+//! Sarıyüce–Pınar's *Fast Hierarchy Construction for Dense Subgraphs*
+//! (VLDB 2016) observation that the forest can be assembled from **local
+//! component information**, [`repair_hierarchy`]
 //! rebuilds only the perturbed region of the forest and grafts the
 //! untouched subtrees (the vast majority after a small batch) back intact.
 //!
@@ -32,13 +31,27 @@
 //! may differ. The repair therefore: (1) marks perturbed old nodes (own
 //! dirty/deleted clique, closed upward to the roots), (2) collapses each
 //! maximal preserved subtree into a union–find super-node pre-seeded with
-//! its existing root node, (3) re-enumerates only the s-cliques with at
-//! least one non-preserved member (each preserved-internal s-clique is
-//! redundant under the collapse), and (4) re-runs the same
-//! threshold-descending union–find over that bounded region. Wrapping a
-//! super-node at a lower threshold grafts the preserved subtree under its
-//! new parent; preserved subtrees never merge at their own threshold (the
-//! argument above), so their roots survive as-is.
+//! its existing root node, and (3) runs the cold build's level walk
+//! (`ForestBuilder::level_walk`, see the [`super`] module docs) over the
+//! **non-preserved cliques only** — the same counting sort, reused buffer
+//! and size-aware merge, bounded to the perturbed region. Nesting a
+//! super-node under a node of lower threshold grafts the preserved subtree
+//! under its new parent; preserved subtrees never merge at their own
+//! threshold (the argument above), so their roots survive as-is.
+//!
+//! ## Why the level walk misses nothing
+//!
+//! The walk must reach every s-clique `S` with at least one non-preserved
+//! member (an s-clique inside one preserved subtree is redundant under the
+//! collapse, and none spans two preserved subtrees without a non-preserved
+//! member — the lower subtree's component would not have been maximal).
+//! It emits `S` from a *walked* member with κ = `w(S)`, so one must exist.
+//! Suppose every member `p` with κ(p) = `w(S)` were preserved, and let `i`
+//! be a non-preserved member. `p` is clean, so no member of `S` is
+//! directly dirty (the one-hop closure would have dirtied `p`): `S` existed
+//! before the batch with the same member κ. The old forest therefore owns
+//! `i` in a descendant of `p`'s owner node, i.e. inside `p`'s preserved
+//! subtree — contradicting that `i` is not preserved.
 //!
 //! Equivalence with a cold rebuild is not taken on faith: the
 //! `hierarchy_repair_properties` suite proves canonical-form equality on
@@ -46,7 +59,8 @@
 
 use hdsd_graph::NO_ID;
 
-use super::{ForestBuilder, Hierarchy, HierarchyNode};
+use super::{ForestBuilder, Hierarchy, HierarchyNode, TOMBSTONE};
+use crate::cancel::CancelToken;
 use crate::space::CliqueSpace;
 
 /// Telemetry of one repair, for update reports and the bench gate.
@@ -63,8 +77,8 @@ pub struct RepairStats {
     /// paying the closure walk and therefore reports the pre-closure
     /// count. Compare rows across spaces/batches with that caveat.
     pub dirty_cliques: usize,
-    /// s-cliques re-enumerated and fed to the union–find (the bounded
-    /// region; a cold rebuild scans every s-clique).
+    /// s-cliques the level walk emitted and fed to the union–find (the
+    /// bounded region; a cold rebuild processes every s-clique).
     pub scanned_scliques: usize,
     /// True when the repair detected up front that no subtree could
     /// survive (broad shallow forests — e.g. the core space on connected
@@ -84,9 +98,10 @@ pub struct RepairStats {
 ///
 /// `dirty_seed` (new ids) must contain every surviving clique whose
 /// **container set** changed (a containing s-clique was created or
-/// destroyed). The warm refresh's initially-awake set
-/// ([`crate::incremental::RefreshOutcome::perturbed`]) satisfies this by
-/// construction. κ-changes are derived internally (the old forest knows
+/// destroyed). The warm refresh's structural set
+/// ([`crate::incremental::RefreshOutcome::perturbed`]: new cliques, cliques
+/// with a batch endpoint, their container partners — not the lift
+/// candidates it also wakes) satisfies this by construction. κ-changes are derived internally (the old forest knows
 /// every old clique's κ — its owning node's `k`), so callers need not
 /// compute them, and batch-created cliques are always dirty regardless of
 /// the seed. Over-approximating the seed costs time, never correctness.
@@ -175,7 +190,7 @@ pub fn repair_hierarchy<S: CliqueSpace>(
         .map(|(id, node)| {
             if perturbed[id] {
                 return HierarchyNode {
-                    k: u32::MAX,
+                    k: TOMBSTONE,
                     parent: None,
                     children: Vec::new(),
                     own_cliques: Vec::new(),
@@ -192,12 +207,7 @@ pub fn repair_hierarchy<S: CliqueSpace>(
         })
         .collect();
 
-    let mut fb = ForestBuilder {
-        nodes,
-        parent: (0..n as u32).collect(),
-        node_of: vec![u32::MAX; n],
-        activated: vec![false; n],
-    };
+    let mut fb = ForestBuilder { nodes, ..ForestBuilder::fresh(n) };
 
     // Collapse each maximal preserved subtree into a super-node: all its
     // member cliques union-found to one representative whose component is
@@ -218,11 +228,9 @@ pub fn repair_hierarchy<S: CliqueSpace>(
         while let Some(x) = walk.pop() {
             let node = &fb.nodes[x as usize];
             walk.extend_from_slice(&node.children);
-            for own_at in 0..node.own_cliques.len() {
-                let m = fb.nodes[x as usize].own_cliques[own_at];
+            for &m in &node.own_cliques {
                 debug_assert_ne!(m, NO_ID, "preserved subtree owns a deleted clique");
                 in_preserved[m as usize] = true;
-                fb.activated[m as usize] = true;
                 if rep == u32::MAX {
                     rep = m;
                 } else {
@@ -232,34 +240,15 @@ pub fn repair_hierarchy<S: CliqueSpace>(
         }
         debug_assert_ne!(rep, u32::MAX, "preserved subtree has no member cliques");
         fb.node_of[rep as usize] = id as u32;
+        fb.rank[rep as usize] = 1; // a star of depth one
     }
 
-    // The bounded region: every s-clique with at least one non-preserved
-    // member, enumerated once from its minimum non-preserved member.
-    // s-cliques internal to one preserved subtree are redundant under the
-    // collapse (their members are already unioned and their connectivity
-    // is already encoded in the subtree); s-cliques can never span two
-    // preserved subtrees without a non-preserved member (maximality of the
-    // lower-threshold subtree's component would be violated).
-    let mut scliques: Vec<(u32, Vec<u32>)> = Vec::new();
-    for i in 0..n {
-        if in_preserved[i] {
-            continue;
-        }
-        space.for_each_container(i, |others| {
-            if others.iter().any(|&o| !in_preserved[o] && o < i) {
-                return;
-            }
-            let mut members = Vec::with_capacity(others.len() + 1);
-            members.push(i as u32);
-            members.extend(others.iter().map(|&o| o as u32));
-            let w = members.iter().map(|&m| kappa[m as usize]).min().unwrap();
-            scliques.push((w, members));
-        });
-    }
-    let scanned_scliques = scliques.len();
-
-    fb.union_find_pass(scliques, kappa);
+    // The bounded region: the level walk over the non-preserved cliques
+    // only, which reaches every s-clique with at least one non-preserved
+    // member (see "Why the level walk misses nothing" in the module docs).
+    let scanned_scliques = fb
+        .level_walk(space, kappa, |i| in_preserved[i], &CancelToken::none())
+        .expect("an unarmed token never cancels");
     let forest = fb.finalize(old.rs);
 
     let stats = RepairStats {

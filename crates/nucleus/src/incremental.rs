@@ -200,9 +200,14 @@ impl SeedForest {
 pub struct WarmStart {
     /// Pointwise upper bound on the new κ.
     pub tau: Vec<u32>,
-    /// Cliques the batch may have perturbed (new, container-changed, or
-    /// lift candidates) — the initial And worklist.
+    /// The initial And worklist: `structural` plus the lift candidates.
     pub awake: Vec<u32>,
+    /// Cliques the batch touched structurally — new cliques, cliques with
+    /// a batch endpoint among their vertices, and their container partners
+    /// — a superset of the cliques whose container set changed. Lift
+    /// candidates are *not* in it: their containers are unchanged, and a
+    /// candidate whose κ really moved is found by comparing κ.
+    pub structural: Vec<u32>,
     /// How many surviving cliques were lifted (the candidate set; its
     /// smallness is what makes the warm start cheap).
     pub lifted: usize,
@@ -296,6 +301,8 @@ pub fn warm_tau_init_of<S: CliqueSpace>(
         });
     }
 
+    let structural: Vec<u32> = (0..n as u32).filter(|&i| awake[i as usize]).collect();
+
     let mut candidate = vec![false; n];
     if lift > 0 {
         // Bottleneck traversal on the *cap*: the new kappa'(j) can never
@@ -369,7 +376,7 @@ pub fn warm_tau_init_of<S: CliqueSpace>(
         })
         .collect();
     let awake: Vec<u32> = (0..n as u32).filter(|&i| awake[i as usize]).collect();
-    WarmStart { tau, awake, lifted }
+    WarmStart { tau, awake, structural, lifted }
 }
 
 /// Applies a batch of insertions and removals to `graph`, returning the new
@@ -564,11 +571,11 @@ pub struct RefreshOutcome {
     pub awake: usize,
     /// Surviving cliques lifted by the candidate traversal.
     pub lifted: usize,
-    /// The initially-awake clique ids (`awake` is its length): every
-    /// clique the batch may have touched structurally — new cliques,
-    /// cliques in a created/destroyed container, candidates, and their
-    /// container partners. This is exactly the dirty-seed contract of
-    /// [`crate::hierarchy::repair_hierarchy`].
+    /// Every clique the batch touched structurally
+    /// ([`WarmStart::structural`]): new cliques, cliques in a
+    /// created/destroyed container, and their container partners — the
+    /// dirty-seed contract of [`crate::hierarchy::repair_hierarchy`]. The
+    /// (far larger) set of lift candidates seeded awake is not part of it.
     pub perturbed: Vec<u32>,
 }
 
@@ -675,7 +682,7 @@ fn resume_from_within<S: CliqueSpace>(
         result,
         awake: warm.awake.len(),
         lifted: warm.lifted,
-        perturbed: warm.awake,
+        perturbed: warm.structural,
     })
 }
 
@@ -807,7 +814,8 @@ pub struct BatchOutcome {
     pub old_num_cliques: usize,
     /// New clique id → old clique id ([`hdsd_graph::NO_ID`] for created).
     pub new_to_old: Vec<u32>,
-    /// New clique ids the refresh seeded awake (structurally perturbed).
+    /// New clique ids the batch touched structurally (see
+    /// [`RefreshOutcome::perturbed`]).
     pub perturbed: Vec<u32>,
     /// Stale κ per new clique id, as the refresh ran with it (`None` for
     /// batch-created cliques). Kept so the dirty seed can be derived on
@@ -1019,6 +1027,39 @@ mod tests {
         let g = hdsd_datasets::planted_partition(&[25, 25, 25, 25], 0.5, 0.04, 31);
         let rm: Vec<(u32, u32)> = g.edges().iter().copied().step_by(113).take(3).collect();
         assert_warm_beats_cold::<Nucleus34Kind>(g, &[(0, 26), (1, 27)], &rm);
+    }
+
+    /// The hierarchy-repair seed is the structural set, not the And
+    /// worklist: a lift candidate's containers are unchanged, so it stays
+    /// out unless it also touches the batch.
+    #[test]
+    fn structural_set_excludes_lift_candidates() {
+        let g = hdsd_datasets::holme_kim(1500, 8, 0.5, 13);
+        let kappa = peel(&TrussKind::build(&g)).kappa;
+        let stale = TrussKind::stale_map(&g, &kappa);
+        let insert: Vec<(u32, u32)> = (0..8).map(|j| (j, 700 + 31 * j)).collect();
+        let remove: Vec<(u32, u32)> = g.edges().iter().copied().step_by(997).take(8).collect();
+        let (g2, inserted) = rebuild_graph(&g, &insert, &remove);
+        let space = TrussKind::build(&g2);
+        let ins_ends: Vec<u32> = insert.iter().flat_map(|&(u, v)| [u, v]).collect();
+        let rm_ends: Vec<u32> = remove.iter().flat_map(|&(u, v)| [u, v]).collect();
+        let warm = warm_tau_init_local(&stale, &space, &ins_ends, &rm_ends, inserted);
+
+        let ends: std::collections::HashSet<u32> =
+            ins_ends.iter().chain(&rm_ends).copied().collect();
+        let touched = |i: usize| {
+            let mut verts = Vec::new();
+            space.vertices_of(i, &mut verts);
+            verts.iter().any(|v| ends.contains(v))
+        };
+        for &i in &warm.structural {
+            let mut near = touched(i as usize);
+            space.for_each_neighbor(i as usize, |o| near |= touched(o));
+            assert!(near, "clique {i} is structural but nowhere near the batch");
+        }
+        assert!(warm.lifted > 0, "the batch must lift something for this test to bite");
+        assert!(warm.structural.iter().all(|i| warm.awake.binary_search(i).is_ok()));
+        assert!(warm.structural.len() < warm.awake.len());
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The forest-equivalence property harness for incremental hierarchy
-//! repair: on random Holme–Kim graphs with random mixed insert/remove
-//! batches, for **all three** clique spaces (core, truss, (3,4)), the
-//! forest produced by [`Hierarchy::repair`] must be structurally identical
-//! — canonical-form equal, see `hdsd_nucleus::hierarchy::canonical` — to a
-//! cold [`build_hierarchy`] over the post-batch space. Repairs are
-//! *chained* (each round repairs the previous round's repaired forest), so
-//! drift would compound and be caught.
+//! construction and repair: on random Holme–Kim graphs the builder gives
+//! one forest whichever way a space serves its rows, and with random mixed
+//! insert/remove batches, for **all three** maintained clique spaces
+//! (core, truss, (3,4)), the forest produced by [`Hierarchy::repair`] must
+//! be structurally identical — canonical-form equal, see
+//! `hdsd_nucleus::hierarchy::canonical` — to a cold [`build_hierarchy`]
+//! over the post-batch space. Repairs are *chained* (each round repairs
+//! the previous round's repaired forest), so drift would compound and be
+//! caught.
 //!
 //! Forest equality is subtle because node ids are renumbering-dependent;
 //! `canonical()` quotients ids and sibling order away, which is what makes
@@ -20,8 +22,9 @@
 
 use hdsd_graph::{CsrGraph, VertexId};
 use hdsd_nucleus::{
-    assert_forest_eq, build_hierarchy, CoreKind, Hierarchy, Incremental, Nucleus34Kind, SpaceKind,
-    TrussKind,
+    assert_forest_eq, build_hierarchy, build_hierarchy_within, peel, CachedSpace, CancelToken,
+    CliqueSpace, CoreKind, CoreSpace, GenericSpace, Hierarchy, Incremental, Nucleus34Kind,
+    Nucleus34Space, SpaceKind, TrussKind, TrussSpace,
 };
 use proptest::prelude::*;
 use proptest::splitmix64 as splitmix;
@@ -106,8 +109,57 @@ fn chained_repairs_equal_cold<K: SpaceKind>(
     (preserved_total, nodes_total)
 }
 
+/// The builder reads rows only through [`CliqueSpace::for_each_container`],
+/// so the space's own callback walk and the flat rows of its
+/// [`CachedSpace`] snapshot (other row orders, same s-cliques) must give
+/// the same forest.
+fn native_and_cached_rows_agree<S: CliqueSpace>(space: &S) {
+    let kappa = peel(space).kappa;
+    let cached = CachedSpace::build(space);
+    assert_forest_eq(&build_hierarchy(space, &kappa), &build_hierarchy(&cached, &kappa));
+}
+
+/// A token tripping at either pinned stage aborts the build with that
+/// stage's name; one that never trips changes nothing.
+fn cancelled_builds_name_the_stage<S: CliqueSpace>(space: &S) {
+    let kappa = peel(space).kappa;
+    let stage_at = |checks: i64| {
+        build_hierarchy_within(space, &kappa, &CancelToken::tripping_after_checks(checks))
+            .map_err(|c| c.stage)
+    };
+    // Fewer than a cancel chunk of cliques: check 1 opens the top level's
+    // scan, check 2 precedes its unions.
+    assert_eq!(stage_at(1).unwrap_err(), "hierarchy s-clique scan", "{}", space.name());
+    assert_eq!(stage_at(2).unwrap_err(), "hierarchy union-find", "{}", space.name());
+    assert_forest_eq(&stage_at(i64::MAX).unwrap(), &build_hierarchy(space, &kappa));
+}
+
+#[test]
+fn every_access_path_names_the_pinned_cancel_stages() {
+    let g = hdsd_datasets::holme_kim(120, 5, 0.8, 21);
+    cancelled_builds_name_the_stage(&CoreSpace::new(&g));
+    cancelled_builds_name_the_stage(&TrussSpace::on_the_fly(&g));
+    cancelled_builds_name_the_stage(&Nucleus34Space::precomputed(&g));
+    cancelled_builds_name_the_stage(&GenericSpace::new(&g, 1, 3));
+    cancelled_builds_name_the_stage(&CachedSpace::build(&TrussSpace::precomputed(&g)));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
+
+    #[test]
+    fn one_builder_two_access_paths_same_forest(
+        n in 30u32..120,
+        m in 2u32..6,
+        p in 0u32..=100,
+        seed in 0u64..1_000_000,
+    ) {
+        let g = hdsd_datasets::holme_kim(n, m, p as f64 / 100.0, seed);
+        native_and_cached_rows_agree(&CoreSpace::new(&g));
+        native_and_cached_rows_agree(&TrussSpace::on_the_fly(&g));
+        native_and_cached_rows_agree(&Nucleus34Space::precomputed(&g));
+        native_and_cached_rows_agree(&GenericSpace::new(&g, 1, 3));
+    }
 
     #[test]
     fn core_repair_equals_cold_rebuild(
