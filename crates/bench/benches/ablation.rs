@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hdsd_datasets::Dataset;
-use hdsd_nucleus::{and, and_without_notification, snd, LocalConfig, Order, TrussSpace};
+use hdsd_nucleus::{and, and_opts, snd, AndOptions, LocalConfig, Order, TrussSpace};
 use hdsd_parallel::{parallel_for_chunks, ParallelConfig, Policy};
 
 fn bench_notification(c: &mut Criterion) {
@@ -18,8 +18,11 @@ fn bench_notification(c: &mut Criterion) {
     group.bench_function("and_with_notification", |b| {
         b.iter(|| and(&sp, &LocalConfig::default(), &Order::Natural))
     });
-    group.bench_function("and_without_notification", |b| {
-        b.iter(|| and_without_notification(&sp, &LocalConfig::default(), &Order::Natural))
+    group.bench_function("and_full_scan", |b| {
+        b.iter(|| {
+            let full_scan = AndOptions { notification: false, ..AndOptions::default() };
+            and_opts(&sp, &LocalConfig::default(), &Order::Natural, full_scan)
+        })
     });
     group.finish();
 }

@@ -7,7 +7,7 @@
 //! over a prebuilt [`FlatContainers`] cache (the serving scenario: the
 //! engine-resident `CachedSpace` always has the rows materialized) — plus
 //! the reusable [`PeelEngine`] form and the barrier-free parallel drain
-//! ([`peel_parallel_flat`], workers claiming bucket chunks from a shared
+//! ([`PeelEngine::peel_opts`], workers claiming bucket chunks from a shared
 //! cursor with no per-level barrier). The cache build cost is reported
 //! separately so the cold path (build + flat) is reconstructable from
 //! the artifact.
@@ -26,8 +26,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use hdsd_nucleus::{
-    peel_flat, peel_parallel_flat, peel_walk, CliqueSpace, CoreSpace, DrainStats, FlatContainers,
-    Nucleus34Space, PeelEngine, PeelResult, TrussSpace,
+    peel_flat, peel_walk, CliqueSpace, CoreSpace, DrainStats, FlatContainers, Nucleus34Space,
+    PeelEngine, PeelOptions, PeelResult, TrussSpace,
 };
 use hdsd_parallel::ParallelConfig;
 
@@ -75,11 +75,13 @@ fn bench_space<S: CliqueSpace>(
     engine.peel(&flat); // warm the scratch before timing the reusable form
     let (flat_engine_ms, engine_r) = time_best(reps, || engine.peel(&flat));
 
-    let cfg = ParallelConfig::with_threads(threads);
+    let opts = PeelOptions::new(ParallelConfig::with_threads(threads));
     // Warm the canonical container keys (lazily built, shared across runs)
     // so the drain timing measures the drain, not the one-time key setup.
     flat.container_keys();
-    let (par_flat_ms, par_flat) = time_best(reps, || peel_parallel_flat(&flat, cfg));
+    let (par_flat_ms, par_flat) = time_best(reps, || {
+        PeelEngine::new().peel_opts(&flat, &opts).expect("an unarmed token never cancels")
+    });
 
     let same = |r: &PeelResult| {
         r.kappa == walk.kappa && r.order == walk.order && r.max_kappa == walk.max_kappa

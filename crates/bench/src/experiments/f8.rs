@@ -3,7 +3,9 @@
 //! variant recomputes far fewer r-cliques once plateaus dominate.
 
 use hdsd_datasets::Dataset;
-use hdsd_nucleus::{and_with_options, CliqueSpace, CoreSpace, LocalConfig, Order, TrussSpace};
+use hdsd_nucleus::{
+    and, and_opts, AndOptions, CliqueSpace, CoreSpace, LocalConfig, Order, TrussSpace,
+};
 
 use crate::{ms, time, Env, Table};
 
@@ -36,10 +38,11 @@ pub fn run(env: &Env) {
 
 fn ablate<S: CliqueSpace>(t: &Table, name: &str, space_label: &str, space: &S) {
     let cfg = LocalConfig::default();
-    let (with, time_with) =
-        time(|| and_with_options(space, &cfg, &Order::Natural, true, &mut |_| {}));
-    let (without, time_without) =
-        time(|| and_with_options(space, &cfg, &Order::Natural, false, &mut |_| {}));
+    let (with, time_with) = time(|| and(space, &cfg, &Order::Natural));
+    let (without, time_without) = time(|| {
+        let full_scan = AndOptions { notification: false, ..AndOptions::default() };
+        and_opts(space, &cfg, &Order::Natural, full_scan).expect("an unarmed token never cancels")
+    });
     assert_eq!(with.tau, without.tau);
     let saved = 1.0 - with.total_processed() as f64 / without.total_processed().max(1) as f64;
     t.row(&[

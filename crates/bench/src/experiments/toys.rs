@@ -4,7 +4,7 @@ use hdsd_nucleus::toys::{
     fig2_core_toy, fig2_kappa_order, fig3_nucleus_toy, fig4_levels_toy, fig5_truss_toy,
 };
 use hdsd_nucleus::{
-    and_with_options, build_hierarchy, degree_levels, peel, snd_with_observer, CliqueSpace,
+    and_opts, build_hierarchy, degree_levels, peel, snd_with_observer, AndOptions, CliqueSpace,
     CoreSpace, LocalConfig, Nucleus34Space, Order, TrussSpace,
 };
 
@@ -34,9 +34,12 @@ fn fig2() {
         ("And {f,e,a,b,c,d}", Order::Custom(fig2_kappa_order())),
     ] {
         let mut sweeps = Vec::new();
-        let r = and_with_options(&sp, &LocalConfig::default(), &order, true, &mut |ev| {
+        let mut record = |ev: hdsd_nucleus::IterationEvent<'_>| {
             sweeps.push((ev.tau.to_vec(), ev.updates));
-        });
+        };
+        let opts = AndOptions { observer: Some(&mut record), ..AndOptions::default() };
+        let r = and_opts(&sp, &LocalConfig::default(), &order, opts)
+            .expect("an unarmed token never cancels");
         println!(
             "  {label}: converged in {} updating sweep(s); final {:?}",
             r.iterations_to_converge(),

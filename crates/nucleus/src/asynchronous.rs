@@ -39,9 +39,11 @@
 //! materialization of the space's containers
 //! ([`crate::space::FlatContainers`]) instead of the callback walk, turning
 //! per-container adjacency intersections into contiguous `u32` reads fed to
-//! the fused ρ-min + h-index kernels of `hdsd-hindex`. The cache is gated
-//! by [`LocalConfig::container_cache_budget`] and by each space's
-//! [`CliqueSpace::prefers_flat_cache`] hint.
+//! the fused ρ-min + h-index kernels of `hdsd-hindex`. Rows a space already
+//! owns ([`CliqueSpace::as_flat`]) are swept in place; otherwise the cache
+//! is gated by [`LocalConfig::container_cache_budget`] and by each space's
+//! [`CliqueSpace::prefers_flat_cache`] hint (the rule every kernel shares,
+//! `space/rows.rs`).
 //!
 //! ## Parallel variant
 //!
@@ -70,7 +72,7 @@ use std::sync::Mutex;
 
 use crate::cancel::{CancelToken, Cancelled};
 use crate::convergence::{ConvergenceResult, IterationEvent, LocalConfig, SweepMode};
-use crate::space::{CliqueSpace, FlatAccess, FlatContainers, SweepAccess, WalkAccess};
+use crate::space::{resolve_rows, CliqueSpace, FlatAccess, SweepAccess, WalkAccess};
 
 /// How many frontier pops a parallel And worker processes between
 /// cancellation probes — the per-worker overshoot bound for the drain.
@@ -123,7 +125,18 @@ impl Order {
                 p
             }
             Order::Custom(p) => {
+                // A repeated id leaves another one out: FullScan would then
+                // certify a fixed point it never recomputed, and the
+                // notification modes could never reach `processed == n`.
                 assert_eq!(p.len(), n, "custom order length mismatch");
+                let mut seen = vec![false; n];
+                for &i in p {
+                    assert!((i as usize) < n, "custom order id {i} out of range (n = {n})");
+                    assert!(
+                        !std::mem::replace(&mut seen[i as usize], true),
+                        "custom order repeats id {i}: not a permutation"
+                    );
+                }
                 p.clone()
             }
         }
@@ -133,148 +146,99 @@ impl Order {
 /// Runs And to convergence (or the iteration cap) with wake-flag
 /// notifications enabled, scheduled per [`LocalConfig::sweep_mode`].
 pub fn and<S: CliqueSpace>(space: &S, cfg: &LocalConfig, order: &Order) -> ConvergenceResult {
-    and_with_options(space, cfg, order, true, &mut |_| {})
+    and_opts(space, cfg, order, AndOptions::default()).expect("an unarmed token never cancels")
 }
 
-/// Runs And without the notification mechanism (every sweep recomputes
-/// every r-clique) — the ablation baseline for Figure 8-style experiments.
-/// Equivalent to forcing [`SweepMode::FullScan`].
-pub fn and_without_notification<S: CliqueSpace>(
-    space: &S,
-    cfg: &LocalConfig,
-    order: &Order,
-) -> ConvergenceResult {
-    and_with_options(space, cfg, order, false, &mut |_| {})
+/// Everything one And run can be given beyond its config and order
+/// ([`and_opts`]). The default is what [`and`] runs with: notifications
+/// on, τ₀ = the S-degrees, every r-clique awake, no cancellation, no
+/// observer.
+pub struct AndOptions<'a> {
+    /// The §4.2.1 wake-flag notification mechanism. `false` recomputes
+    /// every r-clique every sweep (forces [`SweepMode::FullScan`]) — the
+    /// ablation baseline for Figure 8-style experiments.
+    pub notification: bool,
+    /// Start from this τ instead of the S-degrees (length must equal
+    /// `space.num_cliques()`).
+    ///
+    /// **Correctness**: the iteration converges to the exact κ from *any*
+    /// pointwise upper bound `τ_init ≥ κ`. Proof sketch: `U` is monotone
+    /// and `H` over a clique's containers never exceeds its container
+    /// count, so `Uτ_init ≤ d_s` pointwise after one sweep; thereafter
+    /// `κ = U^t κ ≤ U^t τ_init ≤ U^t d_s → κ` squeezes the sequence onto κ
+    /// within the Theorem-3 bound (+1 sweep). This is what makes
+    /// incremental maintenance ([`crate::incremental`]) possible: a stale
+    /// decomposition, suitably bumped, is a valid warm start.
+    pub tau_init: Option<Vec<u32>>,
+    /// Schedule only these r-cliques initially instead of the whole
+    /// universe — the incremental-maintenance fast path: after an edge
+    /// batch, only the cliques whose τ or containers the batch may have
+    /// changed need a first look; everything else is woken on demand by
+    /// the notification mechanism.
+    ///
+    /// Exactness does not depend on the set being complete: the final
+    /// certification sweep recomputes every clique before declaring a
+    /// fixed point, so an under-seeded run costs extra sweeps, not
+    /// correctness. ([`SweepMode::FullScan`] ignores it by construction.)
+    pub awake: Option<&'a [u32]>,
+    /// Cooperative cancellation, probed once per sweep and, in the
+    /// parallel frontier, every [`AND_CANCEL_POP_BATCH`] pops per worker.
+    /// On `Err` all partial τ progress is discarded — callers that want
+    /// exactness re-run; callers that came with a `tau_init` still hold a
+    /// valid upper bound (τ only descends).
+    pub cancel: CancelToken,
+    /// Called after every sweep with the fresh τ values.
+    pub observer: Option<&'a mut dyn FnMut(IterationEvent<'_>)>,
 }
 
-/// Full-control And entry point.
-pub fn and_with_options<S: CliqueSpace>(
-    space: &S,
-    cfg: &LocalConfig,
-    order: &Order,
-    notification: bool,
-    observer: &mut dyn FnMut(IterationEvent<'_>),
-) -> ConvergenceResult {
-    let mode = if notification { cfg.sweep_mode } else { SweepMode::FullScan };
-    dispatch(space, cfg, order, mode, None, None, &CancelToken::none(), observer)
-        .expect("an unarmed token never cancels")
-}
-
-/// And starting from a caller-provided τ instead of the S-degrees.
-///
-/// **Correctness**: the iteration converges to the exact κ from *any*
-/// pointwise upper bound `τ_init ≥ κ`. Proof sketch: `U` is monotone and
-/// `H` over a clique's containers never exceeds its container count, so
-/// `Uτ_init ≤ d_s` pointwise after one sweep; thereafter
-/// `κ = U^t κ ≤ U^t τ_init ≤ U^t d_s → κ` squeezes the sequence onto κ
-/// within the Theorem-3 bound (+1 sweep). This is what makes incremental
-/// maintenance ([`crate::incremental`]) possible: a stale decomposition,
-/// suitably bumped, is a valid warm start.
-///
-/// # Panics
-/// Panics when `tau_init.len() != space.num_cliques()`.
-pub fn and_resume<S: CliqueSpace>(
-    space: &S,
-    cfg: &LocalConfig,
-    order: &Order,
-    tau_init: Vec<u32>,
-    observer: &mut dyn FnMut(IterationEvent<'_>),
-) -> ConvergenceResult {
-    assert_eq!(tau_init.len(), space.num_cliques(), "tau_init length mismatch");
-    dispatch(
-        space,
-        cfg,
-        order,
-        cfg.sweep_mode,
-        Some(tau_init),
-        None,
-        &CancelToken::none(),
-        observer,
-    )
-    .expect("an unarmed token never cancels")
-}
-
-/// [`and_resume`] with only `awake` initially scheduled instead of the
-/// whole universe — the incremental-maintenance fast path: after an edge
-/// batch, only the cliques whose τ or containers the batch may have
-/// changed need a first look; everything else is woken on demand by the
-/// notification mechanism.
-///
-/// Exactness does not depend on `awake` being complete: the convergence
-/// protocol's final certification sweep recomputes every clique before
-/// declaring a fixed point, so an under-seeded run costs extra sweeps, not
-/// correctness. (`SweepMode::FullScan` ignores `awake` by construction.)
-pub fn and_resume_awake<S: CliqueSpace>(
-    space: &S,
-    cfg: &LocalConfig,
-    order: &Order,
-    tau_init: Vec<u32>,
-    awake: &[u32],
-    observer: &mut dyn FnMut(IterationEvent<'_>),
-) -> ConvergenceResult {
-    and_resume_awake_within(space, cfg, order, tau_init, awake, &CancelToken::none(), observer)
-        .expect("an unarmed token never cancels")
-}
-
-/// [`and_resume_awake`] with cooperative cancellation: the sequential
-/// driver probes the token once per sweep, the parallel frontier every
-/// [`AND_CANCEL_POP_BATCH`] pops per worker (the scan modes once per
-/// sweep), so a tripped token abandons the iteration with bounded
-/// overshoot instead of running to convergence. On `Err` all partial τ
-/// progress is discarded — callers that want exactness re-run; callers
-/// that arrived here already hold a valid upper bound (τ only descends).
-pub fn and_resume_awake_within<S: CliqueSpace>(
-    space: &S,
-    cfg: &LocalConfig,
-    order: &Order,
-    tau_init: Vec<u32>,
-    awake: &[u32],
-    cancel: &CancelToken,
-    observer: &mut dyn FnMut(IterationEvent<'_>),
-) -> Result<ConvergenceResult, Cancelled> {
-    assert_eq!(tau_init.len(), space.num_cliques(), "tau_init length mismatch");
-    dispatch(space, cfg, order, cfg.sweep_mode, Some(tau_init), Some(awake), cancel, observer)
-}
-
-/// Resolves the access layer (flat cache vs callback walk) and the
-/// sequential/parallel driver, then runs the sweeps. The drivers are
-/// monomorphized over [`SweepAccess`], so the hot per-container loop has no
-/// dynamic dispatch either way.
-#[allow(clippy::too_many_arguments)]
-fn dispatch<S: CliqueSpace>(
-    space: &S,
-    cfg: &LocalConfig,
-    order: &Order,
-    mode: SweepMode,
-    tau_init: Option<Vec<u32>>,
-    awake: Option<&[u32]>,
-    cancel: &CancelToken,
-    observer: &mut dyn FnMut(IterationEvent<'_>),
-) -> Result<ConvergenceResult, Cancelled> {
-    let perm = order.permutation(space);
-    let flat =
-        cfg.container_cache_budget.and_then(|budget| FlatContainers::build_within(space, budget));
-    match &flat {
-        Some(f) => drive(&FlatAccess(f), cfg, &perm, mode, tau_init, awake, cancel, observer),
-        None => drive(&WalkAccess(space), cfg, &perm, mode, tau_init, awake, cancel, observer),
+impl Default for AndOptions<'_> {
+    fn default() -> Self {
+        AndOptions {
+            notification: true,
+            tau_init: None,
+            awake: None,
+            cancel: CancelToken::none(),
+            observer: None,
+        }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// The full-control And entry point: [`and`] under `opts`.
+///
+/// Resolves the access layer (flat rows vs callback walk — the rule every
+/// kernel shares, `space/rows.rs`) and the sequential/parallel driver, then
+/// runs the sweeps. The drivers are monomorphized over the access layer,
+/// so the hot per-container loop has no dynamic dispatch either way.
+///
+/// # Panics
+/// Panics when `opts.tau_init` is given with a length other than
+/// `space.num_cliques()`, or when `order` is not a permutation.
+pub fn and_opts<S: CliqueSpace>(
+    space: &S,
+    cfg: &LocalConfig,
+    order: &Order,
+    opts: AndOptions<'_>,
+) -> Result<ConvergenceResult, Cancelled> {
+    if let Some(tau) = &opts.tau_init {
+        assert_eq!(tau.len(), space.num_cliques(), "tau_init length mismatch");
+    }
+    let perm = order.permutation(space);
+    match resolve_rows(space, cfg.container_cache_budget) {
+        Some(rows) => drive(&FlatAccess(&rows), cfg, &perm, opts),
+        None => drive(&WalkAccess(space), cfg, &perm, opts),
+    }
+}
+
 fn drive<A: SweepAccess>(
     access: &A,
     cfg: &LocalConfig,
     perm: &[u32],
-    mode: SweepMode,
-    tau_init: Option<Vec<u32>>,
-    awake: Option<&[u32]>,
-    cancel: &CancelToken,
-    observer: &mut dyn FnMut(IterationEvent<'_>),
+    opts: AndOptions<'_>,
 ) -> Result<ConvergenceResult, Cancelled> {
     if cfg.parallel.threads <= 1 {
-        and_sequential(access, cfg, perm, mode, tau_init, awake, cancel, observer)
+        and_sequential(access, cfg, perm, opts)
     } else {
-        and_parallel(access, cfg, perm, mode, tau_init, awake, cancel, observer)
+        and_parallel(access, cfg, perm, opts)
     }
 }
 
@@ -333,11 +297,12 @@ impl DrainFrontier {
     }
 }
 
-/// Single-threaded counterpart of [`EpochFrontier`]: the same dedup-on-
-/// insert epoch protocol, but with a plain bool membership array and a
-/// plain `Vec` accumulator. Wake pushes are the hottest frontier operation
-/// (one per container member per update), so the sequential driver must
-/// not pay test-and-set atomics for them.
+/// Single-threaded counterpart of [`DrainFrontier`]: the same dedup-on-
+/// insert worklist, swept in epochs (snapshot, sort by permutation rank,
+/// process) with a plain bool membership array and a plain `Vec`
+/// accumulator. Wake pushes are the hottest frontier operation (one per
+/// container member per update), so the sequential driver must not pay
+/// test-and-set atomics for them.
 struct SeqFrontier {
     queued: Vec<bool>,
     next: Vec<u32>,
@@ -352,24 +317,15 @@ impl SeqFrontier {
         for (k, &i) in perm.iter().enumerate() {
             rank[i as usize] = k as u32;
         }
-        let mut f = match awake {
-            Some(_) => SeqFrontier {
-                queued: vec![false; n],
-                next: Vec::new(),
-                rank,
-                snapshot: Vec::with_capacity(n),
-            },
-            None => SeqFrontier {
-                queued: vec![true; n],
-                next: perm.to_vec(),
-                rank,
-                snapshot: Vec::with_capacity(n),
-            },
+        let seed = awake.unwrap_or(perm);
+        let mut f = SeqFrontier {
+            queued: vec![false; n],
+            next: Vec::with_capacity(seed.len()),
+            rank,
+            snapshot: Vec::with_capacity(n),
         };
-        if let Some(ids) = awake {
-            for &i in ids {
-                f.push(i as usize);
-            }
+        for &i in seed {
+            f.push(i as usize);
         }
         f
     }
@@ -398,17 +354,14 @@ impl SeqFrontier {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn and_sequential<A: SweepAccess>(
     access: &A,
     cfg: &LocalConfig,
     perm: &[u32],
-    mode: SweepMode,
-    tau_init: Option<Vec<u32>>,
-    awake: Option<&[u32]>,
-    cancel: &CancelToken,
-    observer: &mut dyn FnMut(IterationEvent<'_>),
+    opts: AndOptions<'_>,
 ) -> Result<ConvergenceResult, Cancelled> {
+    let AndOptions { notification, tau_init, awake, cancel, mut observer } = opts;
+    let mode = if notification { cfg.sweep_mode } else { SweepMode::FullScan };
     let armed = cancel.is_armed();
     let n = access.len();
     let mut tau = tau_init.unwrap_or_else(|| access.initial());
@@ -503,7 +456,9 @@ fn and_sequential<A: SweepAccess>(
         sweeps += 1;
         updates_per_iter.push(updates);
         processed_per_iter.push(processed);
-        observer(IterationEvent { iteration: sweeps, tau: &tau, updates, processed });
+        if let Some(observe) = observer.as_mut() {
+            observe(IterationEvent { iteration: sweeps, tau: &tau, updates, processed });
+        }
 
         if updates == 0 {
             // With notifications, a zero-update sweep may simply mean
@@ -538,17 +493,15 @@ fn and_sequential<A: SweepAccess>(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn and_parallel<A: SweepAccess>(
     access: &A,
     cfg: &LocalConfig,
     perm: &[u32],
-    mode: SweepMode,
-    tau_init: Option<Vec<u32>>,
-    awake: Option<&[u32]>,
-    cancel: &CancelToken,
-    observer: &mut dyn FnMut(IterationEvent<'_>),
+    opts: AndOptions<'_>,
 ) -> Result<ConvergenceResult, Cancelled> {
+    let AndOptions { notification, tau_init, awake, cancel, mut observer } = opts;
+    let mode = if notification { cfg.sweep_mode } else { SweepMode::FullScan };
+    let cancel = &cancel;
     let armed = cancel.is_armed();
     // First cancellation observed inside a frontier drain; the observer
     // also raises `abort` so every free-running peer exits its pop loop.
@@ -574,7 +527,8 @@ fn and_parallel<A: SweepAccess>(
     let mut processed_per_iter = Vec::new();
     let mut converged = false;
     let mut sweeps = 0usize;
-    let mut tau_snapshot = vec![0u32; n];
+    // Filled only for an observer: nobody else reads a per-sweep copy.
+    let mut tau_snapshot = Vec::new();
 
     loop {
         if n == 0 {
@@ -755,13 +709,16 @@ fn and_parallel<A: SweepAccess>(
         scheduler.items_skipped += skipped.load(Ordering::Relaxed);
         updates_per_iter.push(u);
         processed_per_iter.push(p);
-        tau.copy_to_slice(&mut tau_snapshot);
-        observer(IterationEvent {
-            iteration: sweeps,
-            tau: &tau_snapshot,
-            updates: u,
-            processed: p,
-        });
+        if let Some(observe) = observer.as_mut() {
+            tau_snapshot.resize(n, 0);
+            tau.copy_to_slice(&mut tau_snapshot);
+            observe(IterationEvent {
+                iteration: sweeps,
+                tau: &tau_snapshot,
+                updates: u,
+                processed: p,
+            });
+        }
 
         if u == 0 {
             // Races (or sleeping cliques) could hide pending work: certify
@@ -886,7 +843,13 @@ mod tests {
         let g = hdsd_datasets::holme_kim(400, 5, 0.6, 11);
         let sp = TrussSpace::precomputed(&g);
         let with = and(&sp, &LocalConfig::sequential(), &Order::Natural);
-        let without = and_without_notification(&sp, &LocalConfig::sequential(), &Order::Natural);
+        let without = and_opts(
+            &sp,
+            &LocalConfig::sequential(),
+            &Order::Natural,
+            AndOptions { notification: false, ..AndOptions::default() },
+        )
+        .expect("unarmed");
         assert_eq!(with.tau, without.tau);
         assert!(
             with.total_processed() < without.total_processed(),
@@ -946,7 +909,8 @@ mod tests {
         for threads in [2, 4] {
             for notification in [true, false] {
                 let cfg = LocalConfig::with_threads(threads);
-                let r = and_with_options(&core, &cfg, &Order::Natural, notification, &mut |_| {});
+                let opts = AndOptions { notification, ..AndOptions::default() };
+                let r = and_opts(&core, &cfg, &Order::Natural, opts).expect("unarmed");
                 assert_eq!(r.tau, exact, "threads={threads} notif={notification}");
                 assert!(r.converged);
             }
@@ -998,6 +962,15 @@ mod tests {
         let n = sp.num_cliques();
         let tau: Vec<u32> = (0..n).map(|i| sp.degree(i)).collect();
         let awake: Vec<u32> = (0..n as u32).collect();
+        let resume_under = |cfg: &LocalConfig, cancel: CancelToken| {
+            let opts = AndOptions {
+                tau_init: Some(tau.clone()),
+                awake: Some(&awake),
+                cancel,
+                ..AndOptions::default()
+            };
+            and_opts(&sp, cfg, &Order::Natural, opts)
+        };
         let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
         for threads in [1usize, 4] {
             let cfg = if threads == 1 {
@@ -1006,49 +979,42 @@ mod tests {
                 LocalConfig::with_threads(threads)
             };
             // An expired deadline trips at the first sweep boundary.
-            let err = and_resume_awake_within(
-                &sp,
-                &cfg,
-                &Order::Natural,
-                tau.clone(),
-                &awake,
-                &CancelToken::with_deadline(Some(past)),
-                &mut |_| {},
-            )
-            .unwrap_err();
+            let err = resume_under(&cfg, CancelToken::with_deadline(Some(past))).unwrap_err();
             assert_eq!(err.message(), "deadline exceeded (and sweep)", "threads={threads}");
             // A generous deadline is invisible: exact κ as ever.
             let far = std::time::Instant::now() + std::time::Duration::from_secs(3600);
-            let ok = and_resume_awake_within(
-                &sp,
-                &cfg,
-                &Order::Natural,
-                tau.clone(),
-                &awake,
-                &CancelToken::with_deadline(Some(far)),
-                &mut |_| {},
-            )
-            .expect("generous deadline");
+            let ok = resume_under(&cfg, CancelToken::with_deadline(Some(far)))
+                .expect("generous deadline");
             assert_eq!(ok.tau, peel(&sp).kappa, "threads={threads}");
         }
         // A flag raised mid-run stops the parallel frontier drain between
         // pop batches (stage is either the sweep boundary or the frontier,
         // depending on where the trip lands).
-        let err = and_resume_awake_within(
-            &sp,
-            &LocalConfig::with_threads(4),
-            &Order::Natural,
-            tau.clone(),
-            &awake,
-            &CancelToken::tripping_after_checks(2),
-            &mut |_| {},
-        )
-        .unwrap_err();
+        let err =
+            resume_under(&LocalConfig::with_threads(4), CancelToken::tripping_after_checks(2))
+                .unwrap_err();
         assert!(
             err.stage == "and sweep" || err.stage == "and frontier",
             "unexpected stage {:?}",
             err.stage
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "custom order repeats id 1")]
+    fn custom_order_with_a_duplicate_is_rejected() {
+        let g = paper_fig2_graph();
+        let sp = CoreSpace::new(&g);
+        // Right length, but 1 appears twice and 2 never.
+        and(&sp, &LocalConfig::sequential(), &Order::Custom(vec![0, 1, 1, 3, 4, 5]));
+    }
+
+    #[test]
+    #[should_panic(expected = "custom order id 6 out of range")]
+    fn custom_order_with_an_out_of_range_id_is_rejected() {
+        let g = paper_fig2_graph();
+        let sp = CoreSpace::new(&g);
+        and(&sp, &LocalConfig::sequential(), &Order::Custom(vec![0, 1, 2, 3, 4, 6]));
     }
 
     #[test]

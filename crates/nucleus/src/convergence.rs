@@ -48,8 +48,11 @@ pub struct LocalConfig {
     /// How And schedules awake r-cliques (ignored by Snd, which is
     /// synchronous by definition). Only consulted when notification is on.
     pub sweep_mode: SweepMode,
-    /// Byte budget for the flat container cache; `None` disables caching.
-    /// Spaces whose layout is already flat opt out regardless (see
+    /// Byte budget for building a flat container cache; `None` sweeps
+    /// through the callback walk, even over a space with resident rows.
+    /// With a budget, resident rows ([`crate::space::CliqueSpace::as_flat`])
+    /// are swept in place at no cost, and spaces whose layout is already
+    /// flat opt out of a copy regardless (see
     /// [`crate::space::CliqueSpace::prefers_flat_cache`]).
     pub container_cache_budget: Option<usize>,
 }

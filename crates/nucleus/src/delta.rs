@@ -21,7 +21,7 @@
 //! Each function also returns the `new id → old id` clique remap, which is
 //! what lets the warm-started refresh carry stale κ across the update
 //! **positionally**, with no identity hashing
-//! (see [`crate::incremental::refresh_resume_of`]).
+//! (see [`crate::incremental::warm_refresh`]).
 
 use hdsd_graph::{
     try_for_each_k4_of_triangle, CsrDelta, CsrGraph, TriangleDelta, TriangleList, NO_ID,

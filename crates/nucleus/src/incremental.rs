@@ -4,7 +4,7 @@
 //! The paper's peeling baseline must restart from scratch when the graph
 //! changes; the local formulation does not. Because the asynchronous
 //! iteration converges to the exact κ from *any* pointwise upper bound
-//! (see [`crate::asynchronous::and_resume`]), a stale decomposition is a
+//! (see [`AndOptions::tau_init`]), a stale decomposition is a
 //! valid warm start once it is lifted back above the new κ:
 //!
 //! * **deletions** — κ never increases (any witness sub-hypergraph of the
@@ -23,10 +23,12 @@
 //!   bound for a batch.
 //!
 //! The wrinkle relative to the (1,2) case is that r-clique **ids are not
-//! stable** across graph rebuilds: edge and triangle ids are positional.
-//! Stale κ values are therefore carried across by clique *identity* — the
-//! sorted vertex set ([`CliqueKey`]) — and r-cliques created by the batch
-//! (which have no stale value) start from their new S-degree.
+//! stable** across batches: edge and triangle ids are positional. Stale κ
+//! values are therefore carried across *positionally*, through the
+//! new-id → old-id remap the delta splice already produces
+//! ([`SpaceDelta::new_to_old`]) — no hashing of either graph version — and
+//! r-cliques created by the batch (which have no stale value) start from
+//! their new S-degree.
 //!
 //! Lifting *every* clique by the batch size is sound but wasteful: the
 //! uniform inflation drains as slowly as a cold run. The refresh therefore
@@ -39,131 +41,21 @@
 //!
 //! So only cliques reachable from a batch-touched container through
 //! cliques of stale κ ≥ κ(i) + 1 − b can rise (see
-//! [`warm_tau_init_local`]); everything else warm-starts *at* its
+//! [`warm_tau_init_of`]); everything else warm-starts *at* its
 //! fixpoint and goes idle after one recomputation. The refresh then
 //! converges in a handful of sweeps instead of a full decomposition —
 //! measured by the `sweeps` telemetry, asserted in the tests, and
 //! reported in `BENCH_service.json`.
 
-use std::collections::HashMap;
 use std::marker::PhantomData;
 
 use hdsd_graph::{CsrDelta, CsrGraph, GraphBuilder, TriangleList, VertexId};
 
-use crate::asynchronous::{and_resume_awake_within, Order};
+use crate::asynchronous::{and_opts, AndOptions, Order};
 use crate::cancel::{CancelToken, Cancelled};
 use crate::convergence::{ConvergenceResult, LocalConfig};
 use crate::delta::SpaceDelta;
 use crate::space::{CachedSpace, CliqueSpace, CoreSpace, Nucleus34Space, TrussSpace};
-
-/// Identity of an r-clique across graph rebuilds: its sorted vertex ids,
-/// padded with `u32::MAX` (r ≤ 3 for all supported spaces).
-pub type CliqueKey = [VertexId; 3];
-
-/// Multiply-xor hasher for [`CliqueKey`]s: the stale maps hash every
-/// clique of both graph versions on every refresh, so SipHash would
-/// dominate the warm-start cost.
-#[derive(Clone, Copy, Default)]
-pub struct KeyHasher(u64);
-
-impl std::hash::Hasher for KeyHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        let mut h = self.0;
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xFF51AFD7ED558CCD);
-        h ^= h >> 33;
-        h
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        // This is the path `[u32; 3]` keys actually take (std hashes the
-        // array as one 12-byte slice): fold whole words, not bytes.
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.write_u64(u64::from_le_bytes(c.try_into().unwrap()));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut tail = [0u8; 8];
-            tail[..rest.len()].copy_from_slice(rest);
-            self.write_u64(u64::from_le_bytes(tail) | ((rest.len() as u64) << 56));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.write_u64(v as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x9E3779B97F4A7C15).rotate_left(27);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-}
-
-/// The stale-κ identity map type (fast non-cryptographic hashing).
-pub type StaleMap = HashMap<CliqueKey, u32, std::hash::BuildHasherDefault<KeyHasher>>;
-
-/// The identity key of r-clique `i` in `space`.
-pub fn clique_key<S: CliqueSpace>(space: &S, i: usize, scratch: &mut Vec<VertexId>) -> CliqueKey {
-    scratch.clear();
-    space.vertices_of(i, scratch);
-    scratch.sort_unstable();
-    // Hard assert: truncating an r > 3 clique would silently collide
-    // distinct cliques in the stale map and break the warm start's
-    // upper-bound premise (the generic space can exceed r = 3).
-    assert!(scratch.len() <= 3, "clique arity {} exceeds the key width", scratch.len());
-    let mut key = [VertexId::MAX; 3];
-    for (slot, &v) in key.iter_mut().zip(scratch.iter()) {
-        *slot = v;
-    }
-    key
-}
-
-/// Maps every r-clique of `space` to its κ by identity, for carrying a
-/// stale decomposition across a graph rebuild.
-pub fn stale_kappa_map<S: CliqueSpace>(space: &S, kappa: &[u32]) -> StaleMap {
-    assert_eq!(kappa.len(), space.num_cliques(), "kappa length mismatch");
-    let mut map = StaleMap::with_capacity_and_hasher(kappa.len(), Default::default());
-    let mut scratch = Vec::new();
-    for (i, &k) in kappa.iter().enumerate() {
-        map.insert(clique_key(space, i, &mut scratch), k);
-    }
-    map
-}
-
-/// The warm-start τ for `new_space`: stale κ looked up by identity, lifted
-/// by `lift` (the number of edges inserted since the stale κ was exact) and
-/// clamped to the new S-degrees; r-cliques with no stale value (created by
-/// the batch) start from their S-degree.
-///
-/// This is the simple, uniformly-lifted bound. Prefer
-/// [`warm_tau_init_local`], which lifts only the cliques the batch can
-/// actually have raised and converges in far fewer sweeps.
-pub fn warm_tau_init<S: CliqueSpace>(stale: &StaleMap, new_space: &S, lift: u32) -> Vec<u32> {
-    let mut scratch = Vec::new();
-    (0..new_space.num_cliques())
-        .map(|i| {
-            let d = new_space.degree(i);
-            match stale.get(&clique_key(new_space, i, &mut scratch)) {
-                Some(&k) => k.saturating_add(lift).min(d),
-                None => d,
-            }
-        })
-        .collect()
-}
 
 /// Union–find with path halving; roots carry a "component contains a
 /// batch seed" flag.
@@ -195,8 +87,9 @@ impl SeedForest {
     }
 }
 
-/// A warm start for [`crate::asynchronous::and_resume_awake`]: the τ upper
-/// bound plus the cliques that need a first look.
+/// A warm start for [`and_opts`] ([`AndOptions::tau_init`] +
+/// [`AndOptions::awake`]): the τ upper bound plus the cliques that need a
+/// first look.
 pub struct WarmStart {
     /// Pointwise upper bound on the new κ.
     pub tau: Vec<u32>,
@@ -216,6 +109,8 @@ pub struct WarmStart {
 /// The locally-lifted warm start for `new_space` after a batch that
 /// inserted `lift` edges with endpoints `inserted_ends` and removed edges
 /// with endpoints `removed_ends` (endpoint supersets are fine).
+/// `stale_of[i]` is the stale κ of new clique `i`, resolved through the
+/// splice's id remap (`None` for batch-created cliques).
 ///
 /// Correctness of the lift: if κ(i) rose to `k + 1` or more, the witness
 /// sub-hypergraph for that value is S-connected, contains a container
@@ -240,25 +135,6 @@ pub struct WarmStart {
 /// from the changed edge). Everything else starts asleep and is woken by
 /// the notification mechanism if a neighbor's drop cascades to it; the
 /// final certification sweep guarantees exactness regardless.
-pub fn warm_tau_init_local<S: CliqueSpace>(
-    stale: &StaleMap,
-    new_space: &S,
-    inserted_ends: &[VertexId],
-    removed_ends: &[VertexId],
-    lift: u32,
-) -> WarmStart {
-    let n = new_space.num_cliques();
-    let mut scratch = Vec::new();
-    let stale_of: Vec<Option<u32>> =
-        (0..n).map(|i| stale.get(&clique_key(new_space, i, &mut scratch)).copied()).collect();
-    warm_tau_init_of(&stale_of, new_space, inserted_ends, removed_ends, lift)
-}
-
-/// [`warm_tau_init_local`] with the stale κ already resolved per new
-/// clique id — the form the delta-maintained update path produces
-/// directly from its id remaps, skipping the identity-map hashing of both
-/// graph versions entirely (`stale_of[i]` is `None` for batch-created
-/// cliques).
 pub fn warm_tau_init_of<S: CliqueSpace>(
     stale_of: &[Option<u32>],
     new_space: &S,
@@ -446,16 +322,6 @@ pub trait SpaceKind: 'static {
         new_graph: &CsrGraph,
         ed: &CsrDelta,
     ) -> SpaceDelta;
-    /// The stale-κ identity map for a graph whose space may no longer
-    /// exist. The default builds the space; kinds whose keys are readable
-    /// straight off the graph override it to skip that cost.
-    fn stale_map(graph: &CsrGraph, kappa: &[u32]) -> StaleMap {
-        Self::stale_map_from(&Self::build(graph), kappa)
-    }
-    /// The stale-κ identity map for an already-built space.
-    fn stale_map_from(space: &Self::Space<'_>, kappa: &[u32]) -> StaleMap {
-        stale_kappa_map(space, kappa)
-    }
 }
 
 /// The (1,2) k-core kind: r-cliques are vertices, ids are stable.
@@ -481,17 +347,9 @@ impl SpaceKind for CoreKind {
     ) -> SpaceDelta {
         crate::delta::core_space_delta(new_graph, old_graph.num_vertices())
     }
-    fn stale_map(graph: &CsrGraph, kappa: &[u32]) -> StaleMap {
-        // Vertex ids are the clique ids; no space construction needed.
-        let mut map = StaleMap::with_capacity_and_hasher(kappa.len(), Default::default());
-        for (v, &k) in kappa.iter().enumerate().take(graph.num_vertices()) {
-            map.insert([v as VertexId, VertexId::MAX, VertexId::MAX], k);
-        }
-        map
-    }
 }
 
-/// The (2,3) k-truss kind: r-cliques are edges, keyed by endpoints.
+/// The (2,3) k-truss kind: r-cliques are edges.
 pub enum TrussKind {}
 
 impl SpaceKind for TrussKind {
@@ -519,19 +377,9 @@ impl SpaceKind for TrussKind {
         *substrate = td.list;
         out
     }
-    fn stale_map(graph: &CsrGraph, kappa: &[u32]) -> StaleMap {
-        // Edge endpoints come straight off the edge list; skip the
-        // per-edge triangle counting a space build would pay.
-        assert_eq!(kappa.len(), graph.num_edges(), "kappa length mismatch");
-        let mut map = StaleMap::with_capacity_and_hasher(kappa.len(), Default::default());
-        for (&(u, v), &k) in graph.edges().iter().zip(kappa) {
-            map.insert([u.min(v), u.max(v), VertexId::MAX], k);
-        }
-        map
-    }
 }
 
-/// The (3,4) nucleus kind: r-cliques are triangles, keyed by vertex triple.
+/// The (3,4) nucleus kind: r-cliques are triangles.
 pub enum Nucleus34Kind {}
 
 impl SpaceKind for Nucleus34Kind {
@@ -563,7 +411,7 @@ impl SpaceKind for Nucleus34Kind {
     }
 }
 
-/// Outcome of one warm refresh (see [`refresh_resume`]).
+/// Outcome of one warm refresh (see [`warm_refresh`]).
 pub struct RefreshOutcome {
     /// Full convergence telemetry; `result.tau` is the exact new κ.
     pub result: ConvergenceResult,
@@ -590,54 +438,18 @@ impl RefreshOutcome {
 }
 
 /// The canonical warm refresh, shared by [`Incremental::update_edges`] and
-/// the `hdsd-service` engine: candidate-lifted warm start over the stale
-/// identity map ([`warm_tau_init_local`]), τ-sorted processing order (the
-/// warm τ is within `inserted` of κ, so this approximates the Theorem-4
-/// peeling order), and an awake-seeded resume whose certification sweep
-/// guarantees the exact κ of the new graph.
-pub fn refresh_resume<S: CliqueSpace>(
-    stale: &StaleMap,
-    new_space: &S,
-    inserted_ends: &[VertexId],
-    removed_ends: &[VertexId],
-    inserted: u32,
-    cfg: &LocalConfig,
-) -> RefreshOutcome {
-    let warm = warm_tau_init_local(stale, new_space, inserted_ends, removed_ends, inserted);
-    resume_from(warm, new_space, cfg)
-}
-
-/// [`refresh_resume`] with the stale κ resolved positionally (see
-/// [`warm_tau_init_of`]): the warm refresh of the delta-maintained update
-/// path, with no identity hashing anywhere.
-pub fn refresh_resume_of<S: CliqueSpace>(
-    stale_of: &[Option<u32>],
-    new_space: &S,
-    inserted_ends: &[VertexId],
-    removed_ends: &[VertexId],
-    inserted: u32,
-    cfg: &LocalConfig,
-) -> RefreshOutcome {
-    refresh_resume_of_within(
-        stale_of,
-        new_space,
-        inserted_ends,
-        removed_ends,
-        inserted,
-        cfg,
-        &CancelToken::none(),
-    )
-    .expect("an unarmed token never cancels")
-}
-
-/// [`refresh_resume_of`] with cooperative cancellation threaded into the
-/// underlying And resume ([`crate::and_resume_awake_within`]). The warm
-/// start itself (candidate traversal + τ sort) is not cancellable — it is
-/// linear in the batch's neighborhood, not in the graph — so a trip lands
-/// at the first sweep boundary. On `Err` nothing has been published;
+/// the `hdsd-service` engine: candidate-lifted warm start over the
+/// positionally resolved stale κ ([`warm_tau_init_of`]), τ-sorted
+/// processing order (the warm τ is within `inserted` of κ, so this
+/// approximates the Theorem-4 peeling order), and an awake-seeded resume
+/// whose certification sweep guarantees the exact κ of the new graph.
+///
+/// `cancel` is threaded into the And resume ([`AndOptions::cancel`]). The
+/// warm start itself (candidate traversal + τ sort) is not cancellable — it
+/// is linear in the batch's neighborhood, not in the graph — so a trip
+/// lands at the first sweep boundary. On `Err` nothing has been published;
 /// callers keep serving the stale decomposition.
-#[allow(clippy::too_many_arguments)]
-pub fn refresh_resume_of_within<S: CliqueSpace>(
+pub fn warm_refresh<S: CliqueSpace>(
     stale_of: &[Option<u32>],
     new_space: &S,
     inserted_ends: &[VertexId],
@@ -647,36 +459,16 @@ pub fn refresh_resume_of_within<S: CliqueSpace>(
     cancel: &CancelToken,
 ) -> Result<RefreshOutcome, Cancelled> {
     let warm = warm_tau_init_of(stale_of, new_space, inserted_ends, removed_ends, inserted);
-    resume_from_within(warm, new_space, cfg, cancel)
-}
-
-fn resume_from<S: CliqueSpace>(
-    warm: WarmStart,
-    new_space: &S,
-    cfg: &LocalConfig,
-) -> RefreshOutcome {
-    resume_from_within(warm, new_space, cfg, &CancelToken::none())
-        .expect("an unarmed token never cancels")
-}
-
-fn resume_from_within<S: CliqueSpace>(
-    warm: WarmStart,
-    new_space: &S,
-    cfg: &LocalConfig,
-    cancel: &CancelToken,
-) -> Result<RefreshOutcome, Cancelled> {
     hdsd_telemetry::span!("refresh.resume");
     let mut order: Vec<u32> = (0..warm.tau.len() as u32).collect();
     order.sort_unstable_by_key(|&i| warm.tau[i as usize]);
-    let result = and_resume_awake_within(
-        new_space,
-        cfg,
-        &Order::Custom(order),
-        warm.tau,
-        &warm.awake,
-        cancel,
-        &mut |_| {},
-    )?;
+    let opts = AndOptions {
+        tau_init: Some(warm.tau),
+        awake: Some(&warm.awake),
+        cancel: cancel.clone(),
+        ..AndOptions::default()
+    };
+    let result = and_opts(new_space, cfg, &Order::Custom(order), opts)?;
     debug_assert!(result.converged);
     Ok(RefreshOutcome {
         result,
@@ -719,15 +511,10 @@ impl<K: SpaceKind> Incremental<K> {
     pub fn with_config(graph: CsrGraph, cfg: LocalConfig) -> Self {
         let substrate = K::init_substrate(&graph);
         let cached = K::build_cached(&graph, &substrate);
-        // The snapshot's container rows are already flat: peel them with
-        // the monomorphized engine instead of re-walking the callbacks —
-        // through the barrier-free drain when the config asks for threads
-        // (κ is bit-identical either way).
-        let kappa = if cfg.parallel.threads > 1 {
-            crate::peel::peel_parallel_flat(cached.flat(), cfg.parallel).kappa
-        } else {
-            crate::peel::peel_flat(cached.flat()).kappa
-        };
+        // The drain peels the snapshot's resident rows in place with
+        // however many threads the config asks for (one thread is the
+        // sequential bucket queue; κ is bit-identical either way).
+        let kappa = crate::peel::peel_parallel(&cached, cfg.parallel).kappa;
         Incremental { graph, substrate, cached, kappa, cfg, _kind: PhantomData }
     }
 
@@ -790,8 +577,16 @@ impl<K: SpaceKind> Incremental<K> {
             .collect();
         let ins_ends = ed.inserted_endpoints(&new_graph);
         let rm_ends = ed.removed_endpoints(&self.graph);
-        let out =
-            refresh_resume_of(&stale_of, &sd.cached, &ins_ends, &rm_ends, ed.inserted(), &self.cfg);
+        let out = warm_refresh(
+            &stale_of,
+            &sd.cached,
+            &ins_ends,
+            &rm_ends,
+            ed.inserted(),
+            &self.cfg,
+            &CancelToken::none(),
+        )
+        .expect("an unarmed token never cancels");
         self.graph = new_graph;
         self.cached = sd.cached;
         self.kappa = out.result.tau;
@@ -973,26 +768,77 @@ mod tests {
         check_exact(&inc);
     }
 
+    /// One batch carried positionally, exactly as
+    /// [`Incremental::update_edges_outcome`] and the service engine do it:
+    /// splice graph, substrate and snapshot, then resolve each new
+    /// clique's stale κ through the id remap.
+    struct Spliced {
+        graph: CsrGraph,
+        cached: CachedSpace,
+        stale_of: Vec<Option<u32>>,
+        ins_ends: Vec<VertexId>,
+        rm_ends: Vec<VertexId>,
+        inserted: u32,
+    }
+
+    fn splice<K: SpaceKind>(g: &CsrGraph, insert: &[(u32, u32)], remove: &[(u32, u32)]) -> Spliced {
+        let mut substrate = K::init_substrate(g);
+        let cached = K::build_cached(g, &substrate);
+        let kappa = peel(&cached).kappa;
+        let (graph, ed) = hdsd_graph::apply_edge_batch(g, insert, remove);
+        let sd = K::apply_delta(&mut substrate, &cached, g, &graph, &ed);
+        let stale_of = sd
+            .new_to_old
+            .iter()
+            .map(|&o| (o != hdsd_graph::NO_ID).then(|| kappa[o as usize]))
+            .collect();
+        // The from-scratch rebuild agrees on what the batch really did.
+        let (rebuilt, inserted) = rebuild_graph(g, insert, remove);
+        assert_eq!(rebuilt.edges(), graph.edges());
+        assert_eq!(inserted, ed.inserted());
+        Spliced {
+            ins_ends: ed.inserted_endpoints(&graph),
+            rm_ends: ed.removed_endpoints(g),
+            graph,
+            cached: sd.cached,
+            stale_of,
+            inserted,
+        }
+    }
+
     /// Shared harness: applies a mixed batch through the warm-start path
     /// and asserts exactness plus a strictly cheaper refresh than a cold
     /// And run on the updated graph (both sweeps and recomputations).
     fn assert_warm_beats_cold<K: SpaceKind>(
-        g: hdsd_graph::CsrGraph,
+        g: CsrGraph,
         insert: &[(u32, u32)],
         remove: &[(u32, u32)],
     ) {
         let cfg = LocalConfig::sequential();
-        let kappa = peel(&K::build(&g)).kappa;
-        let stale = K::stale_map(&g, &kappa);
-        let (g2, inserted) = rebuild_graph(&g, insert, remove);
-        let cached = crate::space::CachedSpace::build(&K::build(&g2));
-        let exact = peel(&cached).kappa;
-        let cold = crate::asynchronous::and(&cached, &cfg, &Order::Natural);
+        let sp = splice::<K>(&g, insert, remove);
+        let exact = peel(&K::build(&sp.graph)).kappa;
+        let cold = crate::asynchronous::and(&sp.cached, &cfg, &Order::Natural);
         assert_eq!(cold.tau, exact);
 
-        let ins_ends: Vec<u32> = insert.iter().flat_map(|&(u, v)| [u, v]).collect();
-        let rm_ends: Vec<u32> = remove.iter().flat_map(|&(u, v)| [u, v]).collect();
-        let out = refresh_resume(&stale, &cached, &ins_ends, &rm_ends, inserted, &cfg);
+        let out = warm_refresh(
+            &sp.stale_of,
+            &sp.cached,
+            &sp.ins_ends,
+            &sp.rm_ends,
+            sp.inserted,
+            &cfg,
+            &CancelToken::none(),
+        )
+        .expect("unarmed");
+        // The candidate traversal lifts a minority, where a uniform lift
+        // would inflate every surviving clique.
+        assert!(
+            out.lifted * 2 < exact.len(),
+            "{}: lifted {} of {} cliques",
+            K::NAME,
+            out.lifted,
+            exact.len()
+        );
         let r = out.result;
         assert!(r.converged);
         assert_eq!(r.tau, exact, "{} warm refresh diverged", K::NAME);
@@ -1035,15 +881,18 @@ mod tests {
     #[test]
     fn structural_set_excludes_lift_candidates() {
         let g = hdsd_datasets::holme_kim(1500, 8, 0.5, 13);
-        let kappa = peel(&TrussKind::build(&g)).kappa;
-        let stale = TrussKind::stale_map(&g, &kappa);
         let insert: Vec<(u32, u32)> = (0..8).map(|j| (j, 700 + 31 * j)).collect();
         let remove: Vec<(u32, u32)> = g.edges().iter().copied().step_by(997).take(8).collect();
-        let (g2, inserted) = rebuild_graph(&g, &insert, &remove);
-        let space = TrussKind::build(&g2);
-        let ins_ends: Vec<u32> = insert.iter().flat_map(|&(u, v)| [u, v]).collect();
-        let rm_ends: Vec<u32> = remove.iter().flat_map(|&(u, v)| [u, v]).collect();
-        let warm = warm_tau_init_local(&stale, &space, &ins_ends, &rm_ends, inserted);
+        let Spliced { graph, cached: space, stale_of, ins_ends, rm_ends, inserted } =
+            splice::<TrussKind>(&g, &insert, &remove);
+        let warm = warm_tau_init_of(&stale_of, &space, &ins_ends, &rm_ends, inserted);
+
+        // The warm start's premise: τ is a pointwise upper bound on the
+        // new κ (what makes resuming from it exact).
+        let exact = peel(&TrussKind::build(&graph)).kappa;
+        for (i, (&t, &k)) in warm.tau.iter().zip(&exact).enumerate() {
+            assert!(t >= k, "warm τ[{i}] = {t} below κ = {k}");
+        }
 
         let ends: std::collections::HashSet<u32> =
             ins_ends.iter().chain(&rm_ends).copied().collect();
@@ -1070,21 +919,5 @@ mod tests {
         inc.insert_edges(&[]);
         inc.remove_edges(&[]);
         assert_eq!(inc.core_numbers(), before.as_slice());
-    }
-
-    #[test]
-    fn stale_maps_key_by_identity_across_rebuilds() {
-        let g = hdsd_datasets::holme_kim(60, 4, 0.5, 2);
-        let kappa = peel(&TrussSpace::on_the_fly(&g)).kappa;
-        let stale = TrussKind::stale_map(&g, &kappa);
-        // Rebuild with one extra edge: surviving edges find their old κ.
-        let (g2, inserted) = rebuild_graph(&g, &[(0, 59)], &[]);
-        assert_eq!(inserted, u32::from(!g.has_edge(0, 59)));
-        let space2 = TrussSpace::on_the_fly(&g2);
-        let tau = warm_tau_init(&stale, &space2, inserted);
-        let exact2 = peel(&space2).kappa;
-        for (i, (&t, &k)) in tau.iter().zip(&exact2).enumerate() {
-            assert!(t >= k, "warm τ[{i}] = {t} below κ = {k}");
-        }
     }
 }

@@ -60,10 +60,7 @@ pub use api::{
     approx_core_numbers, approx_truss_numbers, core_numbers, densest_nucleus, maximum_core_of,
     maximum_truss_of, nucleus34_numbers, truss_numbers,
 };
-pub use asynchronous::{
-    and, and_resume, and_resume_awake, and_resume_awake_within, and_with_options,
-    and_without_notification, Order,
-};
+pub use asynchronous::{and, and_opts, AndOptions, Order};
 pub use cancel::{CancelReason, CancelToken, Cancelled};
 pub use convergence::{
     ConvergenceResult, IterationEvent, LocalConfig, SweepMode, DEFAULT_CONTAINER_CACHE_BUDGET,
@@ -78,16 +75,13 @@ pub use hierarchy::{
     HierarchyNode, RepairStats,
 };
 pub use incremental::{
-    clique_key, rebuild_graph, refresh_resume, refresh_resume_of, refresh_resume_of_within,
-    stale_kappa_map, warm_tau_init, warm_tau_init_local, warm_tau_init_of, BatchOutcome, CliqueKey,
-    CoreKind, Incremental, IncrementalCore, KeyHasher, Nucleus34Kind, RefreshOutcome, SpaceKind,
-    StaleMap, TrussKind, WarmStart,
+    rebuild_graph, warm_refresh, warm_tau_init_of, BatchOutcome, CoreKind, Incremental,
+    IncrementalCore, Nucleus34Kind, RefreshOutcome, SpaceKind, TrussKind, WarmStart,
 };
 pub use levels::{degree_levels, DegreeLevels};
 pub use peel::{
-    peel, peel_flat, peel_parallel, peel_parallel_flat, peel_parallel_flat_with,
-    peel_parallel_flat_within, peel_parallel_with, peel_walk, peel_within, DrainStats,
-    PeelCancelled, PeelEngine, PeelResult, PeelStats, PEEL_CANCEL_CHUNK,
+    peel, peel_flat, peel_parallel, peel_walk, DrainStats, PeelCancelled, PeelEngine, PeelOptions,
+    PeelResult, PeelStats, PEEL_CANCEL_CHUNK,
 };
 pub use query::{
     estimate_core_numbers, estimate_truss_numbers, local_estimate, local_estimate_opts,

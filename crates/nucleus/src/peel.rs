@@ -18,16 +18,16 @@
 //! * [`peel_walk`] — the original container-walk form, kept as the
 //!   ablation reference and the fallback for spaces with no cache.
 //!
-//! [`peel`] dispatches: a space that already owns flat rows
+//! [`peel`] dispatches through the row rule every kernel shares (see
+//! `space/rows.rs`): a space that already owns flat rows
 //! ([`CliqueSpace::as_flat`], e.g. the engine-resident
 //! [`CachedSpace`](crate::space::CachedSpace)) is peeled flat in place; a
 //! space that prefers a cache gets one when it fits the default byte
-//! budget (the same [`FlatContainers::build_within`] gate the sweep
-//! drivers use); everything else walks.
+//! budget; everything else walks.
 //!
-//! [`peel_parallel`] / [`peel_parallel_flat`] is the **barrier-free
-//! drain**: the "partially parallel peeling" comparator of the paper's
-//! Figure 1b, rebuilt without per-level barriers. Workers claim bucket
+//! [`peel_parallel`] (over flat rows: [`PeelEngine::peel_opts`]) is the
+//! **barrier-free drain**: the "partially parallel peeling" comparator of
+//! the paper's Figure 1b, rebuilt without per-level barriers. Workers claim bucket
 //! chunks from a shared atomic cursor ([`ChunkCursor`] for the fused
 //! min-find + candidate scan, [`DrainQueue`] for the decrement drain) and
 //! drain continuously: a follow-on item whose degree crosses the current
@@ -56,7 +56,7 @@ use std::sync::Mutex;
 
 use crate::cancel::{CancelToken, Cancelled};
 use crate::convergence::DEFAULT_CONTAINER_CACHE_BUDGET;
-use crate::space::{CliqueSpace, FlatContainers};
+use crate::space::{resolve_rows, resolve_rows_or_build, CliqueSpace, FlatContainers};
 
 /// Items processed between cancellation checks in the sequential bucket
 /// queue — the "one chunk" the mid-peel overshoot bound is stated in.
@@ -162,32 +162,10 @@ impl PeelResult {
 /// run, and everything else falls back to [`peel_walk`]. All three paths
 /// produce bit-identical results (κ, order, max κ — property-tested).
 pub fn peel<S: CliqueSpace>(space: &S) -> PeelResult {
-    if let Some(flat) = space.as_flat() {
-        return peel_flat(flat);
+    match resolve_rows(space, Some(DEFAULT_CONTAINER_CACHE_BUDGET)) {
+        Some(rows) => peel_flat(&rows),
+        None => peel_walk(space),
     }
-    if let Some(flat) = FlatContainers::build_within(space, DEFAULT_CONTAINER_CACHE_BUDGET) {
-        return peel_flat(&flat);
-    }
-    peel_walk(space)
-}
-
-/// [`peel`] with cooperative cancellation: the token is checked every
-/// [`PEEL_CANCEL_CHUNK`] peeled items, so a tripped deadline aborts the
-/// run within one chunk instead of completing the full decomposition.
-/// Spaces without flat rows fall back to the (uncancellable) walk only
-/// when a cache cannot be built — the serving engine always has rows.
-pub fn peel_within<S: CliqueSpace>(
-    space: &S,
-    cancel: &CancelToken,
-) -> Result<PeelResult, PeelCancelled> {
-    if let Some(flat) = space.as_flat() {
-        return PeelEngine::new().peel_within(flat, cancel);
-    }
-    if let Some(flat) = FlatContainers::build_within(space, DEFAULT_CONTAINER_CACHE_BUDGET) {
-        return PeelEngine::new().peel_within(&flat, cancel);
-    }
-    cancel.check("peel walk").map_err(|c| PeelCancelled { cancelled: c, processed: 0 })?;
-    Ok(peel_walk(space))
 }
 
 /// Exact sequential peeling over a flat container cache (the hot engine;
@@ -195,6 +173,33 @@ pub fn peel_within<S: CliqueSpace>(
 pub fn peel_flat(flat: &FlatContainers) -> PeelResult {
     hdsd_telemetry::span!("peel.flat");
     PeelEngine::new().peel(flat)
+}
+
+/// Full control over one peel of flat rows ([`PeelEngine::peel_opts`]):
+/// the thread team, the drain's schedule perturbation, and cooperative
+/// cancellation. [`PeelOptions::new`] is what [`peel_parallel`] runs with.
+#[derive(Clone, Debug)]
+pub struct PeelOptions {
+    /// Worker threads of the drain (only `threads` is read; claim chunks
+    /// are fixed). A single thread, or an input at or below the epilogue
+    /// floor, delegates to the sequential bucket queue.
+    pub parallel: ParallelConfig,
+    /// Seeded schedule jitter and failpoint hooks (the determinism
+    /// harness's handle; the default perturbs nothing).
+    pub control: DrainControl,
+    /// Probed every [`PEEL_CANCEL_CHUNK`] items by the sequential queue
+    /// and before each chunk claim by every drain worker, so a tripped
+    /// token stops the team within one in-flight chunk per worker (the
+    /// first observer poisons the phase gate; the rest unwind through the
+    /// panic-containment exits).
+    pub cancel: CancelToken,
+}
+
+impl PeelOptions {
+    /// `parallel` with the natural schedule and a token that never trips.
+    pub fn new(parallel: ParallelConfig) -> PeelOptions {
+        PeelOptions { parallel, control: DrainControl::default(), cancel: CancelToken::none() }
+    }
 }
 
 /// Reusable flat peeling engine: owns the bucket-queue scratch (degree
@@ -225,14 +230,42 @@ impl PeelEngine {
         PeelEngine::default()
     }
 
-    /// Peels `flat` exactly, reusing this engine's scratch buffers.
+    /// Peels `flat` exactly with the sequential bucket queue, reusing this
+    /// engine's scratch buffers.
     pub fn peel(&mut self, flat: &FlatContainers) -> PeelResult {
-        self.peel_within(flat, &CancelToken::none()).expect("an unarmed token never cancels")
+        self.bucket_queue(flat, &CancelToken::none()).expect("an unarmed token never cancels")
     }
 
-    /// [`Self::peel`] with a cancellation check every
+    /// The full-control peel: the barrier-free work-stealing drain over
+    /// `flat` under `opts` (see the module docs for the design). κ and
+    /// [`PeelStats`] are bit-identical to [`Self::peel`] for every thread
+    /// count and schedule; the order is the canonical `(κ, id)` one (not
+    /// the bucket queue's history) and [`PeelResult::drain`] is always
+    /// reported. A single-thread run reuses this engine's scratch.
+    pub fn peel_opts(
+        &mut self,
+        flat: &FlatContainers,
+        opts: &PeelOptions,
+    ) -> Result<PeelResult, PeelCancelled> {
+        hdsd_telemetry::span!("peel.parallel");
+        let result = match flat.group() {
+            1 => drain_peel::<1>(self, flat, opts),
+            2 => drain_peel::<2>(self, flat, opts),
+            3 => drain_peel::<3>(self, flat, opts),
+            _ => drain_peel::<0>(self, flat, opts),
+        }?;
+        if let Some(d) = &result.drain {
+            hdsd_telemetry::counter_add!("peel_parallel_chunks_claimed_total", d.chunks_claimed);
+            hdsd_telemetry::counter_add!("peel_parallel_steals_total", d.steals);
+            hdsd_telemetry::counter_add!("peel_parallel_stale_retries_total", d.stale_retries);
+            hdsd_telemetry::counter_add!("peel_parallel_epilogue_items_total", d.epilogue_items);
+        }
+        Ok(result)
+    }
+
+    /// The sequential bucket queue with a cancellation check every
     /// [`PEEL_CANCEL_CHUNK`] peeled items.
-    pub fn peel_within(
+    fn bucket_queue(
         &mut self,
         flat: &FlatContainers,
         cancel: &CancelToken,
@@ -242,19 +275,6 @@ impl PeelEngine {
             2 => self.run::<2>(flat, cancel),
             3 => self.run::<3>(flat, cancel),
             _ => self.run::<0>(flat, cancel), // 0 = dynamic width
-        }
-    }
-
-    /// Peels `flat` with the configured engine: the barrier-free parallel
-    /// drain when `cfg.threads > 1`, otherwise the sequential bucket queue
-    /// (which reuses this engine's scratch). The parallel path produces κ
-    /// and `PeelStats` bit-identical to the sequential one; only the order
-    /// convention differs (canonical `(κ, id)` vs bucket-queue history).
-    pub fn peel_with(&mut self, flat: &FlatContainers, cfg: ParallelConfig) -> PeelResult {
-        if cfg.threads > 1 {
-            peel_parallel_flat(flat, cfg)
-        } else {
-            self.peel(flat)
         }
     }
 
@@ -437,67 +457,10 @@ pub fn peel_walk<S: CliqueSpace>(space: &S) -> PeelResult {
 /// claiming, so there is no walk-based parallel form — `peel_walk` remains
 /// the sequential fallback and ablation baseline).
 pub fn peel_parallel<S: CliqueSpace>(space: &S, cfg: ParallelConfig) -> PeelResult {
-    peel_parallel_with(space, cfg, &DrainControl::default())
-}
-
-/// [`peel_parallel`] with an explicit schedule control (seeded jitter or
-/// failpoint hooks — the determinism harness's entry point).
-pub fn peel_parallel_with<S: CliqueSpace>(
-    space: &S,
-    cfg: ParallelConfig,
-    ctl: &DrainControl,
-) -> PeelResult {
-    if let Some(flat) = space.as_flat() {
-        return peel_parallel_flat_with(flat, cfg, ctl);
-    }
-    if let Some(flat) = FlatContainers::build_within(space, DEFAULT_CONTAINER_CACHE_BUDGET) {
-        return peel_parallel_flat_with(&flat, cfg, ctl);
-    }
-    let flat = FlatContainers::build(space);
-    peel_parallel_flat_with(&flat, cfg, ctl)
-}
-
-/// [`peel_parallel`] directly over a flat container cache.
-pub fn peel_parallel_flat(flat: &FlatContainers, cfg: ParallelConfig) -> PeelResult {
-    peel_parallel_flat_with(flat, cfg, &DrainControl::default())
-}
-
-/// The barrier-free work-stealing drain over flat rows (see the module
-/// docs for the design; [`DrainControl`] injects schedule perturbations).
-pub fn peel_parallel_flat_with(
-    flat: &FlatContainers,
-    cfg: ParallelConfig,
-    ctl: &DrainControl,
-) -> PeelResult {
-    peel_parallel_flat_within(flat, cfg, ctl, &CancelToken::none())
+    let rows = resolve_rows_or_build(space, DEFAULT_CONTAINER_CACHE_BUDGET);
+    PeelEngine::new()
+        .peel_opts(&rows, &PeelOptions::new(cfg))
         .expect("an unarmed token never cancels")
-}
-
-/// [`peel_parallel_flat_with`] with cooperative cancellation: every
-/// worker checks the token before each chunk claim (scan cursor and
-/// drain queue alike), so a tripped token stops the whole team within
-/// one in-flight chunk per worker — the first observer poisons the phase
-/// gate and the rest unwind through the existing panic-containment exits.
-pub fn peel_parallel_flat_within(
-    flat: &FlatContainers,
-    cfg: ParallelConfig,
-    ctl: &DrainControl,
-    cancel: &CancelToken,
-) -> Result<PeelResult, PeelCancelled> {
-    hdsd_telemetry::span!("peel.parallel");
-    let result = match flat.group() {
-        1 => drain_peel::<1>(flat, cfg, ctl, cancel),
-        2 => drain_peel::<2>(flat, cfg, ctl, cancel),
-        3 => drain_peel::<3>(flat, cfg, ctl, cancel),
-        _ => drain_peel::<0>(flat, cfg, ctl, cancel),
-    }?;
-    if let Some(d) = &result.drain {
-        hdsd_telemetry::counter_add!("peel_parallel_chunks_claimed_total", d.chunks_claimed);
-        hdsd_telemetry::counter_add!("peel_parallel_steals_total", d.steals);
-        hdsd_telemetry::counter_add!("peel_parallel_stale_retries_total", d.stale_retries);
-        hdsd_telemetry::counter_add!("peel_parallel_epilogue_items_total", d.epilogue_items);
-    }
-    Ok(result)
 }
 
 /// Everything the drain workers share, borrowed across the single
@@ -569,11 +532,11 @@ fn epilogue_floor(n: usize) -> usize {
 }
 
 fn drain_peel<const G: usize>(
+    engine: &mut PeelEngine,
     flat: &FlatContainers,
-    cfg: ParallelConfig,
-    ctl: &DrainControl,
-    cancel: &CancelToken,
+    opts: &PeelOptions,
 ) -> Result<PeelResult, PeelCancelled> {
+    let PeelOptions { parallel: cfg, control: ctl, cancel } = opts;
     debug_assert!(G == 0 || flat.group() == G, "arity dispatch mismatch");
     let group = if G > 0 { G } else { flat.group().max(1) };
     let n = flat.num_cliques();
@@ -589,7 +552,7 @@ fn drain_peel<const G: usize>(
     // output — κ, the canonical (κ, id) order, the closed-form counters —
     // is schedule-independent, so delegating is bit-identical and faster.
     if threads == 1 || n <= epilogue_floor(n) {
-        let mut r = PeelEngine::new().peel_within(flat, cancel)?;
+        let mut r = engine.bucket_queue(flat, cancel)?;
         (r.order, r.max_kappa) = canonical_order(&r.kappa);
         r.drain = Some(DrainStats { epilogue_items: n as u64, ..DrainStats::default() });
         return Ok(r);
@@ -1157,7 +1120,6 @@ mod tests {
         let cached = CachedSpace::build(&truss);
         // CachedSpace advertises its rows; peel must take the flat path and
         // agree with every other engine.
-        assert!(cached.as_flat().is_some());
         let via_cached = peel(&cached);
         let via_space = peel(&truss);
         let via_walk = peel_walk(&truss);
@@ -1197,7 +1159,9 @@ mod tests {
         assert_eq!(par_t.kappa, seq_t.kappa);
         assert_eq!(par_t.stats, seq_t.stats);
         let flat = FlatContainers::build(&tsp);
-        let par_flat = peel_parallel_flat(&flat, ParallelConfig::with_threads(3).chunk(1));
+        let par_flat = PeelEngine::new()
+            .peel_opts(&flat, &PeelOptions::new(ParallelConfig::with_threads(3).chunk(1)))
+            .expect("unarmed");
         assert_eq!(par_flat.kappa, seq_t.kappa);
     }
 
@@ -1239,7 +1203,8 @@ mod tests {
         let g = hdsd_datasets::holme_kim(600, 4, 0.5, 13);
         let sp = TrussSpace::precomputed(&g);
         let flat = FlatContainers::build(&sp);
-        let ctl = DrainControl {
+        let cfg = ParallelConfig::with_threads(4).chunk(4);
+        let control = DrainControl {
             jitter: Some(ScheduleJitter::new(1)),
             hooks: DrainHooks::with(|worker, event| {
                 if worker == 1 && event == DrainEvent::Item {
@@ -1247,8 +1212,9 @@ mod tests {
                 }
             }),
         };
+        let opts = PeelOptions { control, ..PeelOptions::new(cfg) };
         let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            peel_parallel_flat_with(&flat, ParallelConfig::with_threads(4).chunk(4), &ctl)
+            PeelEngine::new().peel_opts(&flat, &opts)
         }));
         let err = out.expect_err("the injected panic must propagate to the caller");
         let msg = err.downcast_ref::<&str>().copied().unwrap_or("");
@@ -1256,7 +1222,7 @@ mod tests {
         // The team must not deadlock or corrupt later runs: a clean peel on
         // fresh state still matches sequential.
         let fresh = FlatContainers::build(&sp);
-        let par = peel_parallel_flat(&fresh, ParallelConfig::with_threads(4).chunk(4));
+        let par = PeelEngine::new().peel_opts(&fresh, &PeelOptions::new(cfg)).expect("unarmed");
         assert_eq!(par.kappa, peel(&sp).kappa);
     }
 
@@ -1288,8 +1254,10 @@ mod tests {
         let g = hdsd_datasets::holme_kim(3000, 4, 0.5, 7);
         let sp = CoreSpace::new(&g);
         let flat = FlatContainers::build(&sp);
+        let under =
+            |cancel| PeelOptions { cancel, ..PeelOptions::new(ParallelConfig::sequential()) };
         let err = PeelEngine::new()
-            .peel_within(&flat, &CancelToken::tripping_after_checks(3))
+            .peel_opts(&flat, &under(CancelToken::tripping_after_checks(3)))
             .unwrap_err();
         assert_eq!(err.processed, 2 * PEEL_CANCEL_CHUNK);
         assert_eq!(err.cancelled.stage, "peel drain");
@@ -1297,14 +1265,14 @@ mod tests {
         // and the wire message keeps the pinned shape.
         let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
         let err = PeelEngine::new()
-            .peel_within(&flat, &CancelToken::with_deadline(Some(past)))
+            .peel_opts(&flat, &under(CancelToken::with_deadline(Some(past))))
             .unwrap_err();
         assert_eq!(err.processed, 0);
         assert_eq!(String::from(err), "deadline exceeded (peel drain)");
         // A generous token changes nothing about the result.
         let far = std::time::Instant::now() + std::time::Duration::from_secs(3600);
         let ok = PeelEngine::new()
-            .peel_within(&flat, &CancelToken::with_deadline(Some(far)))
+            .peel_opts(&flat, &under(CancelToken::with_deadline(Some(far))))
             .expect("generous deadline");
         assert_eq!(ok.kappa, peel(&sp).kappa);
     }
@@ -1315,36 +1283,26 @@ mod tests {
         let sp = CoreSpace::new(&g);
         let flat = FlatContainers::build(&sp);
         let n = flat.num_cliques();
-        let cfg = ParallelConfig::with_threads(4).chunk(4);
+        let under = |cancel| PeelOptions {
+            cancel,
+            ..PeelOptions::new(ParallelConfig::with_threads(4).chunk(4))
+        };
         // Tripped flag: every worker exits before claiming a chunk.
         let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
-        let err = peel_parallel_flat_within(
-            &flat,
-            cfg,
-            &DrainControl::default(),
-            &CancelToken::with_flag(flag),
-        )
-        .unwrap_err();
+        let err =
+            PeelEngine::new().peel_opts(&flat, &under(CancelToken::with_flag(flag))).unwrap_err();
         assert!(err.processed < n, "trip before any claim peels nothing: {}", err.processed);
         assert_eq!(String::from(err), "request cancelled (peel drain)");
         // Mid-drain trip: bounded partial progress, never the full peel.
-        let err = peel_parallel_flat_within(
-            &flat,
-            cfg,
-            &DrainControl::default(),
-            &CancelToken::tripping_after_checks(40),
-        )
-        .unwrap_err();
+        let err = PeelEngine::new()
+            .peel_opts(&flat, &under(CancelToken::tripping_after_checks(40)))
+            .unwrap_err();
         assert!(err.processed < n, "cancelled drain must not finish: {}", err.processed);
         // A generous token is bit-identical to the uncancellable drain.
         let far = std::time::Instant::now() + std::time::Duration::from_secs(3600);
-        let ok = peel_parallel_flat_within(
-            &flat,
-            cfg,
-            &DrainControl::default(),
-            &CancelToken::with_deadline(Some(far)),
-        )
-        .expect("generous deadline");
+        let ok = PeelEngine::new()
+            .peel_opts(&flat, &under(CancelToken::with_deadline(Some(far))))
+            .expect("generous deadline");
         assert_eq!(ok.kappa, peel(&sp).kappa);
     }
 }

@@ -15,7 +15,7 @@ use hdsd_parallel::{parallel_for_chunks_with, AtomicU32Vec, SchedulerStats};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::convergence::{ConvergenceResult, IterationEvent, LocalConfig};
-use crate::space::{CliqueSpace, FlatAccess, FlatContainers, SweepAccess, WalkAccess};
+use crate::space::{resolve_rows, CliqueSpace, FlatAccess, SweepAccess, WalkAccess};
 
 /// Runs Snd to convergence (or the configured iteration cap).
 pub fn snd<S: CliqueSpace>(space: &S, cfg: &LocalConfig) -> ConvergenceResult {
@@ -25,19 +25,18 @@ pub fn snd<S: CliqueSpace>(space: &S, cfg: &LocalConfig) -> ConvergenceResult {
 /// Runs Snd, invoking `observer` after every iteration with the fresh τ
 /// values — the hook behind the convergence-rate and plateau experiments.
 ///
-/// Like And, the sweep body runs against the flat container cache when
+/// Like And, the sweep body runs against flat container rows — resident
+/// ones in place, otherwise a cache built when
 /// [`LocalConfig::container_cache_budget`] admits it (Snd revisits every
 /// r-clique every iteration, so it benefits even more from the contiguous
-/// layout); the cache never changes results, only memory traffic.
+/// layout); the rows never change results, only memory traffic.
 pub fn snd_with_observer<S: CliqueSpace>(
     space: &S,
     cfg: &LocalConfig,
     observer: &mut dyn FnMut(IterationEvent<'_>),
 ) -> ConvergenceResult {
-    let flat =
-        cfg.container_cache_budget.and_then(|budget| FlatContainers::build_within(space, budget));
-    match &flat {
-        Some(f) => snd_driver(&FlatAccess(f), cfg, observer),
+    match resolve_rows(space, cfg.container_cache_budget) {
+        Some(rows) => snd_driver(&FlatAccess(&rows), cfg, observer),
         None => snd_driver(&WalkAccess(space), cfg, observer),
     }
 }

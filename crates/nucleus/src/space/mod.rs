@@ -18,6 +18,7 @@ pub mod core12;
 pub mod flat;
 pub mod generic;
 pub mod nucleus34;
+mod rows;
 pub mod truss23;
 pub mod vertex13;
 
@@ -26,6 +27,7 @@ pub use core12::CoreSpace;
 pub use flat::{others_per_container, FlatContainers};
 pub use generic::GenericSpace;
 pub use nucleus34::Nucleus34Space;
+pub(crate) use rows::{resolve_rows, resolve_rows_or_build};
 pub use truss23::TrussSpace;
 pub use vertex13::Vertex13Space;
 
@@ -106,10 +108,10 @@ pub trait CliqueSpace: Sync {
 
     /// The space's resident [`FlatContainers`], when its containers are
     /// *already* materialized in that layout ([`CachedSpace`] overrides
-    /// this). Lets the exact path ([`crate::peel::peel`]) run its
-    /// monomorphized flat engine directly instead of re-walking the rows
-    /// through the callback interface — and without building a second copy
-    /// of arrays that already exist.
+    /// this). Lets every kernel (peel, And, Snd) run its flat engine on the
+    /// rows in place instead of re-walking them through the callback
+    /// interface — and without building a second copy of arrays that
+    /// already exist.
     fn as_flat(&self) -> Option<&FlatContainers> {
         None
     }

@@ -1,0 +1,93 @@
+//! The one place the kernels decide how to reach a space's containers.
+//!
+//! Peeling, And and Snd all run fastest over flat CSR rows
+//! ([`FlatContainers`]) and all fall back to the space's callback walk.
+//! Which of the two a run gets is the same three-step rule everywhere:
+//!
+//! 1. rows the space already owns ([`CliqueSpace::as_flat`], i.e. a
+//!    [`CachedSpace`](super::CachedSpace)) are used in place — they cost
+//!    nothing, so any `Some` budget admits them;
+//! 2. otherwise rows are built for the run when the space says a copy would
+//!    help and its estimated footprint fits the byte budget
+//!    ([`FlatContainers::build_within`]);
+//! 3. otherwise the run walks.
+//!
+//! A budget of `None` means "walk", even over resident rows: it is how the
+//! cache ablation (`LocalConfig::without_container_cache`) measures the
+//! callback path on any space.
+
+use std::borrow::Cow;
+
+use super::{CliqueSpace, FlatContainers};
+
+/// Resolves the rows a kernel run over `space` should use under `budget`
+/// (see the module docs for the rule). `None` means "walk the space".
+pub(crate) fn resolve_rows<S: CliqueSpace>(
+    space: &S,
+    budget: Option<usize>,
+) -> Option<Cow<'_, FlatContainers>> {
+    let budget = budget?;
+    match space.as_flat() {
+        Some(resident) => Some(Cow::Borrowed(resident)),
+        None => FlatContainers::build_within(space, budget).map(Cow::Owned),
+    }
+}
+
+/// [`resolve_rows`] for a kernel with no walk form (the parallel peel
+/// drain claims chunks of rows): when the rule says "walk", the rows are
+/// built regardless of the space's preference and the budget.
+pub(crate) fn resolve_rows_or_build<S: CliqueSpace>(
+    space: &S,
+    budget: usize,
+) -> Cow<'_, FlatContainers> {
+    resolve_rows(space, Some(budget)).unwrap_or_else(|| Cow::Owned(FlatContainers::build(space)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{CachedSpace, CoreSpace, GenericSpace, TrussSpace};
+    use super::*;
+    use crate::convergence::DEFAULT_CONTAINER_CACHE_BUDGET as BUDGET;
+
+    #[test]
+    fn resolution_follows_resident_then_budget_then_walk() {
+        let g = hdsd_datasets::holme_kim(80, 4, 0.5, 3);
+        let truss = TrussSpace::precomputed(&g);
+        let need = FlatContainers::estimate_bytes(&truss);
+
+        // Resident rows are used in place, never copied — this is the arm
+        // And and Snd used to skip.
+        let cached = CachedSpace::build(&truss);
+        for budget in [BUDGET, 1] {
+            match resolve_rows(&cached, Some(budget)) {
+                Some(Cow::Borrowed(rows)) => assert!(std::ptr::eq(rows, cached.flat())),
+                other => panic!("resident rows must be borrowed, got {other:?}"),
+            }
+        }
+        assert!(matches!(resolve_rows_or_build(&cached, BUDGET), Cow::Borrowed(_)));
+
+        // A space that prefers a cache gets one built within the budget…
+        for budget in [BUDGET, need] {
+            assert!(matches!(resolve_rows(&truss, Some(budget)), Some(Cow::Owned(_))));
+        }
+        // …and walks one byte under it.
+        assert!(resolve_rows(&truss, Some(need - 1)).is_none());
+
+        // Spaces whose layout is already flat walk whatever the budget.
+        let core = CoreSpace::new(&g);
+        let gen13 = GenericSpace::new(&g, 1, 3);
+        assert!(resolve_rows(&core, Some(usize::MAX)).is_none());
+        assert!(resolve_rows(&gen13, Some(usize::MAX)).is_none());
+
+        // No budget means walk, resident rows or not.
+        assert!(resolve_rows(&cached, None).is_none());
+        assert!(resolve_rows(&truss, None).is_none());
+        assert!(resolve_rows(&core, None).is_none());
+
+        // The drain has no walk form: it gets rows built regardless.
+        for rows in [resolve_rows_or_build(&core, BUDGET), resolve_rows_or_build(&truss, need - 1)]
+        {
+            assert!(matches!(rows, Cow::Owned(_)));
+        }
+    }
+}

@@ -17,8 +17,8 @@
 //! treatment on τ: exact κ at every thread count.
 
 use hdsd_nucleus::{
-    and, peel_flat, peel_parallel_flat_with, CliqueSpace, CoreSpace, FlatContainers, GenericSpace,
-    LocalConfig, Nucleus34Space, Order, TrussSpace,
+    and, peel_flat, CliqueSpace, CoreSpace, FlatContainers, GenericSpace, LocalConfig,
+    Nucleus34Space, Order, PeelEngine, PeelOptions, PeelResult, TrussSpace,
 };
 use hdsd_parallel::{DrainControl, DrainEvent, DrainHooks, ParallelConfig, ScheduleJitter};
 
@@ -34,6 +34,13 @@ fn num_seeds() -> u64 {
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
+/// One drain of `flat` under the schedule control `control`.
+fn drain(flat: &FlatContainers, threads: usize, control: DrainControl) -> PeelResult {
+    let opts =
+        PeelOptions { control, ..PeelOptions::new(ParallelConfig::with_threads(threads).chunk(4)) };
+    PeelEngine::new().peel_opts(flat, &opts).expect("an unarmed token never cancels")
+}
+
 /// Runs the full seeded-schedule sweep for one space and asserts every
 /// run is bit-identical to the sequential reference.
 fn check_determinism<S: CliqueSpace>(space: &S) {
@@ -48,9 +55,7 @@ fn check_determinism<S: CliqueSpace>(space: &S) {
 
     for threads in THREAD_COUNTS {
         for seed in 0..num_seeds() {
-            let ctl = DrainControl::seeded(seed);
-            let cfg = ParallelConfig::with_threads(threads).chunk(4);
-            let r = peel_parallel_flat_with(&flat, cfg, &ctl);
+            let r = drain(&flat, threads, DrainControl::seeded(seed));
             let tag = format!("{name} threads={threads} seed={seed}");
             assert_eq!(r.kappa, seq.kappa, "{tag}: κ diverged");
             assert_eq!(r.order, canonical, "{tag}: order diverged");
@@ -109,7 +114,7 @@ fn stalled_worker_cannot_change_the_result() {
                 }
             }),
         };
-        let r = peel_parallel_flat_with(&flat, ParallelConfig::with_threads(4).chunk(4), &ctl);
+        let r = drain(&flat, 4, ctl);
         assert_eq!(r.kappa, seq.kappa, "seed={seed}: stalled worker corrupted κ");
         assert_eq!(r.order, canonical, "seed={seed}");
         assert_eq!(r.stats, seq.stats, "seed={seed}");

@@ -7,8 +7,8 @@
 //! same κ. Runs under the nightly slow-props budget (`PROPTEST_CASES`).
 
 use hdsd_nucleus::{
-    peel, peel_flat, peel_parallel_flat, peel_walk, CliqueSpace, CoreSpace, FlatContainers,
-    GenericSpace, Nucleus34Space, PeelEngine, TrussSpace,
+    peel, peel_flat, peel_walk, CliqueSpace, CoreSpace, FlatContainers, GenericSpace,
+    Nucleus34Space, PeelEngine, PeelOptions, TrussSpace,
 };
 use hdsd_parallel::ParallelConfig;
 use proptest::prelude::*;
@@ -45,7 +45,7 @@ fn check_space<S: CliqueSpace>(space: &S, engine: &mut PeelEngine) {
     // The barrier-free parallel drain reproduces κ and the closed-form
     // work counters bit-for-bit.
     let cfg = ParallelConfig::with_threads(3).chunk(4);
-    let par = peel_parallel_flat(&flat, cfg);
+    let par = engine.peel_opts(&flat, &PeelOptions::new(cfg)).expect("unarmed");
     assert_eq!(par.kappa, walk.kappa, "{}", space.name());
     assert_eq!(par.stats, walk.stats, "{}: parallel counters diverged", space.name());
 }

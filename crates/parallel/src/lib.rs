@@ -15,13 +15,12 @@
 pub mod scheduling;
 
 pub use scheduling::{
-    parallel_for_chunks, parallel_for_chunks_collect, parallel_for_chunks_with, ChunkCursor,
-    ConcurrentWorklist, DrainControl, DrainEvent, DrainHooks, DrainQueue, FrontierQueue, MpmcRing,
-    PhaseGate, Policy, QuiescenceCounter, ScheduleJitter, SchedulerStats, WorkerControl,
-    WorkerJitter,
+    parallel_for_chunks, parallel_for_chunks_with, ChunkCursor, ConcurrentWorklist, DrainControl,
+    DrainEvent, DrainHooks, DrainQueue, MpmcRing, PhaseGate, Policy, QuiescenceCounter,
+    ScheduleJitter, SchedulerStats, WorkerControl, WorkerJitter,
 };
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Resolves the worker-thread count: `HDSD_THREADS` env var when set and
 /// positive, otherwise `std::thread::available_parallelism()`.
@@ -49,19 +48,20 @@ pub struct ParallelConfig {
 
 impl Default for ParallelConfig {
     fn default() -> Self {
-        ParallelConfig { threads: default_threads(), chunk: 1024, policy: Policy::Dynamic }
+        Self::with_threads(default_threads())
     }
 }
 
 impl ParallelConfig {
     /// Sequential configuration (single thread).
     pub fn sequential() -> Self {
-        ParallelConfig { threads: 1, ..Default::default() }
+        Self::with_threads(1)
     }
 
-    /// Configuration with `t` threads, default chunking.
+    /// Configuration with `t` threads, default chunking. (Built from the
+    /// constants: only [`ParallelConfig::default`] probes the host.)
     pub fn with_threads(t: usize) -> Self {
-        ParallelConfig { threads: t.max(1), ..Default::default() }
+        ParallelConfig { threads: t.max(1), chunk: 1024, policy: Policy::Dynamic }
     }
 
     /// Sets the chunk size.
@@ -74,34 +74,6 @@ impl ParallelConfig {
     pub fn policy(mut self, p: Policy) -> Self {
         self.policy = p;
         self
-    }
-}
-
-/// A shared "anything changed?" flag with relaxed semantics, used for the
-/// convergence check of the synchronous/asynchronous iterations.
-#[derive(Default, Debug)]
-pub struct ChangedFlag(AtomicBool);
-
-impl ChangedFlag {
-    /// New, unset flag.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Raises the flag.
-    #[inline]
-    pub fn set(&self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-
-    /// Reads and clears.
-    pub fn take(&self) -> bool {
-        self.0.swap(false, Ordering::Relaxed)
-    }
-
-    /// Reads without clearing.
-    pub fn get(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
     }
 }
 
@@ -232,16 +204,6 @@ impl AtomicBitset {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn changed_flag_take_clears() {
-        let f = ChangedFlag::new();
-        assert!(!f.take());
-        f.set();
-        assert!(f.get());
-        assert!(f.take());
-        assert!(!f.take());
-    }
 
     #[test]
     fn atomic_vec_round_trip() {

@@ -79,104 +79,6 @@ impl SchedulerStats {
     }
 }
 
-/// A concurrent dedup-on-insert worklist for frontier scheduling.
-///
-/// Holds ids from a fixed universe `0..universe`. Membership is tracked by
-/// an [`AtomicBitset`], so [`FrontierQueue::push`] is an O(1) test-and-set:
-/// an id already scheduled (bit set) is not enqueued twice. Ids accumulate
-/// in a fixed-capacity array via a relaxed bump pointer — the capacity is
-/// the universe size, which dedup makes sufficient by construction.
-///
-/// The intended epoch protocol (asynchronous frontier sweeps):
-///
-/// 1. workers pop items from a *drained snapshot* of the previous epoch,
-///    call [`FrontierQueue::unmark`] on each before recomputing it, and
-///    [`FrontierQueue::push`] every neighbor whose value changed;
-/// 2. after the epoch barrier, [`FrontierQueue::drain_into`] moves the
-///    accumulated ids into the next snapshot (bits stay set — they mean
-///    "scheduled", and the ids are still scheduled, just in the new epoch).
-///
-/// An id woken while it still awaits processing in the current epoch keeps
-/// its bit and is *not* re-enqueued: the pending visit will observe the
-/// newer τ values, exactly the paper's notification semantics.
-#[derive(Debug)]
-pub struct FrontierQueue {
-    items: Vec<AtomicU32>,
-    tail: AtomicUsize,
-    queued: AtomicBitset,
-}
-
-impl FrontierQueue {
-    /// Empty queue over ids `0..universe`, no bits set.
-    pub fn new(universe: usize) -> Self {
-        FrontierQueue {
-            items: (0..universe).map(|_| AtomicU32::new(0)).collect(),
-            tail: AtomicUsize::new(0),
-            queued: AtomicBitset::new(universe, false),
-        }
-    }
-
-    /// Universe size (also the queue capacity).
-    #[inline]
-    pub fn universe(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Number of ids currently enqueued.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.tail.load(Ordering::Relaxed).min(self.items.len())
-    }
-
-    /// True when nothing is enqueued.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Schedules `id` unless already scheduled. Returns whether it was
-    /// enqueued now.
-    #[inline]
-    pub fn push(&self, id: u32) -> bool {
-        debug_assert!((id as usize) < self.universe());
-        if self.queued.set(id as usize) {
-            return false; // already scheduled
-        }
-        let slot = self.tail.fetch_add(1, Ordering::Relaxed);
-        debug_assert!(slot < self.items.len(), "FrontierQueue overflow — dedup invariant broken");
-        self.items[slot].store(id, Ordering::Relaxed);
-        true
-    }
-
-    /// Clears `id`'s scheduled bit (call when a worker starts processing
-    /// it). Returns the previous value.
-    #[inline]
-    pub fn unmark(&self, id: u32) -> bool {
-        self.queued.clear(id as usize)
-    }
-
-    /// Whether `id` is currently scheduled.
-    #[inline]
-    pub fn is_marked(&self, id: u32) -> bool {
-        self.queued.get(id as usize)
-    }
-
-    /// Moves all enqueued ids into `out` (appending) and resets the queue's
-    /// buffer. Scheduled bits are left set — the drained ids remain
-    /// scheduled, now owned by the caller's epoch snapshot.
-    ///
-    /// Requires external synchronization (call between epochs, after the
-    /// worker barrier), which is the natural structure of the sweep loop.
-    pub fn drain_into(&self, out: &mut Vec<u32>) {
-        let n = self.len();
-        out.reserve(n);
-        for slot in &self.items[..n] {
-            out.push(slot.load(Ordering::Relaxed));
-        }
-        self.tail.store(0, Ordering::Relaxed);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Barrier-free drain primitives
 //
@@ -448,11 +350,11 @@ impl MpmcRing {
     }
 }
 
-/// [`MpmcRing`] plus a dedup bitset: the lock-free replacement for the
-/// snapshot+sort epoch protocol of [`FrontierQueue`]. `push` is a no-op for
-/// an id whose bit is already set; consumers `pop` continuously and `unmark`
-/// before recomputing, exactly the paper's notification semantics but with
-/// no epoch barrier. Because an id's bit stays set from push until its
+/// [`MpmcRing`] plus a dedup bitset: the lock-free worklist of the
+/// parallel And frontier (no snapshot, no sort, no epoch barrier). `push`
+/// is a no-op for an id whose bit is already set; consumers `pop`
+/// continuously and `unmark` before recomputing, exactly the paper's
+/// notification semantics. Because an id's bit stays set from push until its
 /// consumer unmarks it *after* the pop, the ring holds at most one live
 /// entry per id, so a universe-sized ring is never *logically* full. The
 /// Vyukov protocol can still report full **transiently** when a push wraps
@@ -865,31 +767,11 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, std::ops::Range<usize>) + Sync,
 {
-    parallel_for_chunks_collect(n, cfg, init, f).0
-}
-
-/// Like [`parallel_for_chunks_with`], but hands each worker's final state
-/// back to the caller (one entry per worker that ran; sequential runs
-/// return exactly one). This is the lock-free accumulation primitive: a
-/// worker appends to its own state on the hot path and the caller merges
-/// the returned states after the barrier — no shared mutex, no atomics
-/// beyond chunk handout.
-pub fn parallel_for_chunks_collect<S, I, F>(
-    n: usize,
-    cfg: ParallelConfig,
-    init: I,
-    f: F,
-) -> (SchedulerStats, Vec<S>)
-where
-    S: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, std::ops::Range<usize>) + Sync,
-{
     hdsd_telemetry::span!("parallel.chunks");
     let threads = cfg.threads.max(1);
     let chunk = cfg.chunk.max(1);
     if n == 0 {
-        return (SchedulerStats::from_chunks(vec![0; threads]), Vec::new());
+        return SchedulerStats::from_chunks(vec![0; threads]);
     }
     if threads == 1 {
         let mut s = init();
@@ -901,78 +783,45 @@ where
             done = hi;
             chunks += 1;
         }
-        return (SchedulerStats::from_chunks(vec![chunks]), vec![s]);
+        return SchedulerStats::from_chunks(vec![chunks]);
     }
 
-    match cfg.policy {
-        #[allow(clippy::needless_range_loop)]
-        Policy::Dynamic => {
-            let next = AtomicUsize::new(0);
-            let counters: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
-            let states = std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(threads);
-                for t in 0..threads {
-                    let next = &next;
-                    let counter = &counters[t];
-                    let init = &init;
-                    let f = &f;
-                    handles.push(scope.spawn(move || {
-                        let mut s = init();
-                        loop {
-                            let lo = next.fetch_add(chunk, Ordering::Relaxed);
-                            if lo >= n {
-                                break;
-                            }
-                            let hi = (lo + chunk).min(n);
-                            f(&mut s, lo..hi);
-                            counter.fetch_add(1, Ordering::Relaxed);
+    // Dynamic workers race on `next`; static worker `t` owns stripe `t`.
+    // Scoped workers are joined (and their panics re-raised) at scope exit.
+    let counters: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
+    let next = AtomicUsize::new(0);
+    let per = n.div_ceil(threads);
+    std::thread::scope(|scope| {
+        for (t, counter) in counters.iter().enumerate() {
+            let (next, init, f) = (&next, &init, &f);
+            scope.spawn(move || {
+                let mut s = init();
+                let mut run = |range: std::ops::Range<usize>| {
+                    f(&mut s, range);
+                    counter.fetch_add(1, Ordering::Relaxed);
+                };
+                match cfg.policy {
+                    Policy::Dynamic => loop {
+                        let lo = next.fetch_add(chunk, Ordering::Relaxed);
+                        if lo >= n {
+                            break;
                         }
-                        s
-                    }));
-                }
-                handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-            });
-            (
-                SchedulerStats::from_chunks(
-                    counters.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-                ),
-                states,
-            )
-        }
-        #[allow(clippy::needless_range_loop)]
-        Policy::Static => {
-            let per = n.div_ceil(threads);
-            let counters: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
-            let states = std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(threads);
-                for t in 0..threads {
-                    let lo = (t * per).min(n);
-                    let hi = ((t + 1) * per).min(n);
-                    let counter = &counters[t];
-                    let init = &init;
-                    let f = &f;
-                    handles.push(scope.spawn(move || {
-                        let mut s = init();
-                        let mut at = lo;
+                        run(lo..(lo + chunk).min(n));
+                    },
+                    Policy::Static => {
+                        let hi = ((t + 1) * per).min(n);
+                        let mut at = (t * per).min(n);
                         while at < hi {
                             let end = (at + chunk).min(hi);
-                            f(&mut s, at..end);
+                            run(at..end);
                             at = end;
-                            counter.fetch_add(1, Ordering::Relaxed);
                         }
-                        s
-                    }));
+                    }
                 }
-                handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
             });
-            (
-                SchedulerStats::from_chunks(
-                    counters.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
-                ),
-                states,
-            )
         }
-    }
+    });
+    SchedulerStats::from_chunks(counters.iter().map(|c| c.load(Ordering::Relaxed)).collect())
 }
 
 #[cfg(test)]
@@ -1029,32 +878,6 @@ mod tests {
     }
 
     #[test]
-    fn collect_returns_every_workers_state() {
-        for &(threads, policy) in
-            &[(1usize, Policy::Dynamic), (4, Policy::Dynamic), (3, Policy::Static)]
-        {
-            let cfg = ParallelConfig { threads, chunk: 8, policy };
-            let (_, states) =
-                parallel_for_chunks_collect(1000, cfg, Vec::new, |local: &mut Vec<usize>, r| {
-                    local.extend(r)
-                });
-            assert_eq!(states.len(), threads, "{policy:?}");
-            let mut all: Vec<usize> = states.into_iter().flatten().collect();
-            all.sort_unstable();
-            // Every index appears exactly once across the worker states.
-            assert_eq!(all, (0..1000).collect::<Vec<_>>(), "{policy:?} threads={threads}");
-        }
-        // n == 0: no worker ran, no states to merge.
-        let (_, states) = parallel_for_chunks_collect(
-            0,
-            ParallelConfig::with_threads(4),
-            Vec::new,
-            |local: &mut Vec<usize>, r| local.extend(r),
-        );
-        assert!(states.is_empty());
-    }
-
-    #[test]
     fn per_worker_state_is_reused() {
         // Each worker counts its own chunks in local state; stats must agree.
         let cfg = ParallelConfig { threads: 4, chunk: 8, policy: Policy::Dynamic };
@@ -1100,72 +923,6 @@ mod tests {
         assert_eq!(z.imbalance(), 1.0);
         let inf = SchedulerStats::from_chunks(vec![3, 0]);
         assert!(inf.imbalance().is_infinite());
-    }
-
-    #[test]
-    fn frontier_queue_dedups_on_insert() {
-        let q = FrontierQueue::new(16);
-        assert!(q.is_empty());
-        assert!(q.push(3));
-        assert!(q.push(7));
-        assert!(!q.push(3), "second push of a scheduled id must be a no-op");
-        assert_eq!(q.len(), 2);
-        assert!(q.is_marked(3) && q.is_marked(7) && !q.is_marked(0));
-        let mut out = Vec::new();
-        q.drain_into(&mut out);
-        assert_eq!(out, vec![3, 7]);
-        assert!(q.is_empty());
-        // Bits survive the drain: the ids are still scheduled (caller owns
-        // them now), so re-pushing is still deduped until unmark.
-        assert!(!q.push(3));
-        assert!(q.unmark(3));
-        assert!(q.push(3));
-    }
-
-    #[test]
-    fn frontier_queue_concurrent_pushes_never_duplicate() {
-        let n = 4096usize;
-        let q = FrontierQueue::new(n);
-        // 4 threads race to push overlapping id ranges.
-        std::thread::scope(|scope| {
-            for t in 0..4usize {
-                let q = &q;
-                scope.spawn(move || {
-                    for i in 0..n {
-                        if (i + t) % 2 == 0 {
-                            q.push(i as u32);
-                        }
-                    }
-                });
-            }
-        });
-        let mut out = Vec::new();
-        q.drain_into(&mut out);
-        let total = out.len();
-        out.sort_unstable();
-        out.dedup();
-        assert_eq!(out.len(), total, "duplicate ids escaped the dedup bitset");
-        assert_eq!(out.len(), n, "every id pushed by some thread must appear once");
-    }
-
-    #[test]
-    fn frontier_queue_epoch_protocol_round_trip() {
-        let q = FrontierQueue::new(8);
-        for id in [1u32, 5, 2] {
-            q.push(id);
-        }
-        let mut current = Vec::new();
-        q.drain_into(&mut current);
-        // Epoch: process current, waking id+1 for even ids.
-        for &id in &current {
-            q.unmark(id);
-            if id % 2 == 0 {
-                q.push(id + 1);
-            }
-        }
-        let mut next = Vec::new();
-        q.drain_into(&mut next);
-        assert_eq!(next, vec![3]);
     }
 
     #[test]

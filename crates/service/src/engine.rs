@@ -14,7 +14,7 @@
 //! * **edge batches** splice the CSR, the shared triangle substrate and
 //!   every space snapshot ([`hdsd_graph::delta`],
 //!   [`hdsd_nucleus::delta`]), then refresh κ with the warm-started,
-//!   candidate-lifted resume ([`refresh_resume_of_within`]) — nothing is rebuilt
+//!   candidate-lifted resume ([`warm_refresh`]) — nothing is rebuilt
 //!   or re-enumerated globally;
 //! * **snapshots** serialize graph + κ + hierarchies for fast restart.
 //!
@@ -40,9 +40,9 @@ use hdsd_graph::{apply_edge_batch, triangle_delta, CsrGraph, TriangleList, Verte
 use hdsd_nucleus::hierarchy::NucleusDensity;
 use hdsd_nucleus::{
     build_hierarchy, build_hierarchy_within, core_space_delta, local_estimate_opts,
-    nucleus34_space_delta, peel, refresh_resume_of_within, truss_space_delta, CachedSpace,
-    CancelToken, Cancelled, CliqueSpace, CoreSpace, Hierarchy, LocalConfig, Nucleus34Space,
-    QueryEstimate, QueryOptions, Snapshot, SpaceSnapshot, TrussSpace,
+    nucleus34_space_delta, peel, truss_space_delta, warm_refresh, CachedSpace, CancelToken,
+    Cancelled, CliqueSpace, CoreSpace, Hierarchy, LocalConfig, Nucleus34Space, QueryEstimate,
+    QueryOptions, Snapshot, SpaceSnapshot, TrussSpace,
 };
 use hdsd_telemetry::{labeled, span, Registry};
 
@@ -494,24 +494,13 @@ impl EngineView {
 
     /// The maximal k-(r,s) nuclei at threshold `k`, largest first.
     pub fn nuclei_at(&self, sel: SpaceSel, k: u32) -> Result<Vec<NucleusSummary>, String> {
-        self.nuclei_at_within(sel, k, None)
+        self.nuclei_at_under(sel, k, &CancelToken::none())
     }
 
-    /// [`EngineView::nuclei_at`] under an optional wall-clock deadline:
-    /// the request fails (instead of blocking the daemon) when the
-    /// deadline passes before or during hierarchy materialization.
-    pub fn nuclei_at_within(
-        &self,
-        sel: SpaceSel,
-        k: u32,
-        deadline: Option<Instant>,
-    ) -> Result<Vec<NucleusSummary>, String> {
-        self.nuclei_at_under(sel, k, &CancelToken::with_deadline(deadline))
-    }
-
-    /// [`EngineView::nuclei_at`] under a full cancellation token: beyond
-    /// the deadline, a raised flag (client disconnect, load shed) aborts
-    /// the hierarchy build mid-materialization at its chunk boundaries.
+    /// [`EngineView::nuclei_at`] under a cancellation token: the request
+    /// fails (instead of blocking the daemon) when the deadline passes or a
+    /// flag is raised (client disconnect, load shed) before or during
+    /// hierarchy materialization, which aborts at its chunk boundaries.
     pub fn nuclei_at_under(
         &self,
         sel: SpaceSel,
@@ -544,17 +533,7 @@ impl EngineView {
     /// The densest region containing r-clique `id`: the maximal nucleus in
     /// which it first participates (its own node in the hierarchy).
     pub fn region_of(&self, sel: SpaceSel, id: usize) -> Result<RegionReport, String> {
-        self.region_of_within(sel, id, None)
-    }
-
-    /// [`EngineView::region_of`] under an optional wall-clock deadline.
-    pub fn region_of_within(
-        &self,
-        sel: SpaceSel,
-        id: usize,
-        deadline: Option<Instant>,
-    ) -> Result<RegionReport, String> {
-        self.region_of_under(sel, id, &CancelToken::with_deadline(deadline))
+        self.region_of_under(sel, id, &CancelToken::none())
     }
 
     /// [`EngineView::region_of`] under a full cancellation token.
@@ -589,17 +568,7 @@ impl EngineView {
     /// A materialized hierarchy node by id (used by the `nuclei` op's
     /// drill-down).
     pub fn node_region(&self, sel: SpaceSel, node: u32) -> Result<RegionReport, String> {
-        self.node_region_within(sel, node, None)
-    }
-
-    /// [`EngineView::node_region`] under an optional wall-clock deadline.
-    pub fn node_region_within(
-        &self,
-        sel: SpaceSel,
-        node: u32,
-        deadline: Option<Instant>,
-    ) -> Result<RegionReport, String> {
-        self.node_region_under(sel, node, &CancelToken::with_deadline(deadline))
+        self.node_region_under(sel, node, &CancelToken::none())
     }
 
     /// [`EngineView::node_region`] under a full cancellation token.
@@ -802,44 +771,14 @@ impl Engine {
         self.view.nuclei_at(sel, k)
     }
 
-    /// [`Engine::nuclei_at`] under an optional wall-clock deadline.
-    pub fn nuclei_at_within(
-        &self,
-        sel: SpaceSel,
-        k: u32,
-        deadline: Option<Instant>,
-    ) -> Result<Vec<NucleusSummary>, String> {
-        self.view.nuclei_at_within(sel, k, deadline)
-    }
-
     /// The densest region containing r-clique `id`.
     pub fn region_of(&self, sel: SpaceSel, id: usize) -> Result<RegionReport, String> {
         self.view.region_of(sel, id)
     }
 
-    /// [`Engine::region_of`] under an optional wall-clock deadline.
-    pub fn region_of_within(
-        &self,
-        sel: SpaceSel,
-        id: usize,
-        deadline: Option<Instant>,
-    ) -> Result<RegionReport, String> {
-        self.view.region_of_within(sel, id, deadline)
-    }
-
     /// A materialized hierarchy node by id.
     pub fn node_region(&self, sel: SpaceSel, node: u32) -> Result<RegionReport, String> {
         self.view.node_region(sel, node)
-    }
-
-    /// [`Engine::node_region`] under an optional wall-clock deadline.
-    pub fn node_region_within(
-        &self,
-        sel: SpaceSel,
-        node: u32,
-        deadline: Option<Instant>,
-    ) -> Result<RegionReport, String> {
-        self.view.node_region_within(sel, node, deadline)
     }
 
     /// Applies an edge batch by building the **next epoch off to the
@@ -940,7 +879,7 @@ impl Engine {
                 .collect();
             let out = {
                 span!("update.refresh");
-                refresh_resume_of_within(
+                warm_refresh(
                     &stale_of,
                     &sd.cached,
                     &ins_ends,

@@ -10,8 +10,9 @@
 //!   algorithm with a Theorem-1 `lower ≤ κ ≤ estimate` interval; region
 //!   queries materialize nuclei from the resident hierarchy;
 //! * edge batches refresh κ with the candidate-lifted warm start
-//!   ([`hdsd_nucleus::warm_tau_init_local`] + `and_resume_awake`) instead
-//!   of recomputing, exactly;
+//!   ([`hdsd_nucleus::warm_refresh`]: stale κ carried positionally through
+//!   the splice's id remap, then an awake-seeded And resume) instead of
+//!   recomputing, exactly;
 //! * [`hdsd_nucleus::Snapshot`]s restart the engine without decomposing.
 //!
 //! Serving state is published in **epochs** ([`epoch`]): every update

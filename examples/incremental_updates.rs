@@ -1,7 +1,7 @@
 //! Incremental core maintenance: keep κ₂ exact while edges stream in and
 //! out, without re-running a full decomposition — an extension the paper's
 //! locality makes possible (the asynchronous iteration converges to κ from
-//! any stale-but-lifted upper bound; see `hdsd::nucleus::and_resume`).
+//! any stale-but-lifted upper bound; see `hdsd::nucleus::AndOptions::tau_init`).
 //!
 //! Run with: `cargo run --release --example incremental_updates`
 

@@ -61,10 +61,10 @@ pub use hdsd_parallel as parallel;
 pub mod prelude {
     pub use hdsd_graph::{CsrGraph, GraphBuilder};
     pub use hdsd_nucleus::{
-        and, and_without_notification, build_hierarchy, degree_levels, estimate_core_numbers,
+        and, and_opts, build_hierarchy, degree_levels, estimate_core_numbers,
         estimate_truss_numbers, local_estimate, peel, peel_parallel, snd, snd_with_observer,
-        CliqueSpace, ConvergenceResult, CoreSpace, GenericSpace, LocalConfig, Nucleus34Space,
-        Order, SweepMode, TrussSpace,
+        AndOptions, CliqueSpace, ConvergenceResult, CoreSpace, GenericSpace, LocalConfig,
+        Nucleus34Space, Order, SweepMode, TrussSpace,
     };
     pub use hdsd_parallel::{ParallelConfig, SchedulerStats};
 }

@@ -13,6 +13,48 @@ fn arb_graph() -> impl Strategy<Value = hdsd::graph::CsrGraph> {
         .prop_map(|edges| hdsd::graph::GraphBuilder::new().edges(edges).build())
 }
 
+/// Random Holme–Kim graph (triangle-rich, so every space has containers).
+fn arb_holme_kim() -> impl Strategy<Value = hdsd::graph::CsrGraph> {
+    (20u32..80, 2u32..5, 0u32..=100, 0u64..1_000_000)
+        .prop_map(|(n, m, p, seed)| hdsd::datasets::holme_kim(n, m, p as f64 / 100.0, seed))
+}
+
+/// Snd's and sequential And's per-sweep trajectories over `space` must not
+/// depend on how the kernels reach its containers: built rows (the source
+/// space under the default budget), resident rows (its `CachedSpace`), or
+/// the callback walk (`without_container_cache`, over either).
+fn check_access_path_is_invisible<S: CliqueSpace>(space: &S) {
+    let cached = hdsd::nucleus::CachedSpace::build(space);
+    let flat = LocalConfig::sequential();
+    let walk = flat.without_container_cache();
+
+    let s = snd(space, &flat);
+    let a = and(space, &flat, &Order::Natural);
+    assert_eq!(a.tau, peel(space).kappa, "{}", space.name());
+    for (label, s2, a2) in [
+        ("resident rows", snd(&cached, &flat), and(&cached, &flat, &Order::Natural)),
+        ("walk", snd(space, &walk), and(space, &walk, &Order::Natural)),
+        ("walk over resident rows", snd(&cached, &walk), and(&cached, &walk, &Order::Natural)),
+    ] {
+        let tag = format!("{} via {label}", space.name());
+        assert_eq!(s2.updates_per_iter, s.updates_per_iter, "Snd {tag}");
+        assert_eq!(a2.updates_per_iter, a.updates_per_iter, "And {tag}");
+        assert_eq!(a2.processed_per_iter, a.processed_per_iter, "And {tag}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn access_path_never_changes_the_trajectory(g in arb_holme_kim()) {
+        check_access_path_is_invisible(&CoreSpace::new(&g));
+        check_access_path_is_invisible(&TrussSpace::precomputed(&g));
+        check_access_path_is_invisible(&Nucleus34Space::precomputed(&g));
+        check_access_path_is_invisible(&GenericSpace::new(&g, 1, 3));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -24,7 +66,8 @@ proptest! {
         prop_assert_eq!(&and(&sp, &LocalConfig::default(), &Order::Natural).tau, &exact);
         prop_assert_eq!(&and(&sp, &LocalConfig::default(), &Order::Reverse).tau, &exact);
         prop_assert_eq!(&and(&sp, &LocalConfig::default(), &Order::Random(1)).tau, &exact);
-        prop_assert_eq!(&and_without_notification(&sp, &LocalConfig::default(), &Order::Natural).tau, &exact);
+        let full_scan = AndOptions { notification: false, ..AndOptions::default() };
+        prop_assert_eq!(&and_opts(&sp, &LocalConfig::default(), &Order::Natural, full_scan).unwrap().tau, &exact);
         prop_assert_eq!(&peel_parallel(&sp, ParallelConfig::with_threads(3).chunk(4)).kappa, &exact);
         prop_assert_eq!(&snd(&sp, &LocalConfig::with_threads(3)).tau, &exact);
         prop_assert_eq!(&and(&sp, &LocalConfig::with_threads(3), &Order::Natural).tau, &exact);

@@ -125,7 +125,10 @@ proptest! {
         // The warm-start property behind incremental maintenance: And
         // started from any pointwise upper bound τ_init ≥ κ converges to
         // exactly κ.
-        use hdsd::nucleus::and_resume;
+        fn resume<S: CliqueSpace>(sp: &S, order: &Order, tau_init: Vec<u32>) -> ConvergenceResult {
+            let opts = AndOptions { tau_init: Some(tau_init), ..AndOptions::default() };
+            and_opts(sp, &LocalConfig::default(), order, opts).expect("an unarmed token never cancels")
+        }
         let sp = CoreSpace::new(&g);
         let exact = peel(&sp).kappa;
         let tau_init: Vec<u32> = exact
@@ -133,20 +136,20 @@ proptest! {
             .zip(bumps.iter().cycle())
             .map(|(&k, &b)| k + b)
             .collect();
-        let r = and_resume(&sp, &LocalConfig::default(), &Order::Natural, tau_init, &mut |_| {});
+        let r = resume(&sp, &Order::Natural, tau_init);
         prop_assert!(r.converged);
         prop_assert_eq!(&r.tau, &exact);
 
         // Also from the extreme upper bound (everything huge).
         let huge = vec![u32::MAX / 2; exact.len()];
-        let r2 = and_resume(&sp, &LocalConfig::default(), &Order::Reverse, huge, &mut |_| {});
+        let r2 = resume(&sp, &Order::Reverse, huge);
         prop_assert_eq!(&r2.tau, &exact);
 
         // And for the truss space with a stale-style bound.
         let ts = TrussSpace::precomputed(&g);
         let exact_t = peel(&ts).kappa;
         let init_t: Vec<u32> = exact_t.iter().map(|&k| k + 2).collect();
-        let r3 = and_resume(&ts, &LocalConfig::default(), &Order::Natural, init_t, &mut |_| {});
+        let r3 = resume(&ts, &Order::Natural, init_t);
         prop_assert_eq!(&r3.tau, &exact_t);
     }
 
