@@ -166,21 +166,9 @@ pub struct AndOptions<'a> {
     /// and `H` over a clique's containers never exceeds its container
     /// count, so `Uτ_init ≤ d_s` pointwise after one sweep; thereafter
     /// `κ = U^t κ ≤ U^t τ_init ≤ U^t d_s → κ` squeezes the sequence onto κ
-    /// within the Theorem-3 bound (+1 sweep). This is what makes
-    /// incremental maintenance ([`crate::incremental`]) possible: a stale
-    /// decomposition, suitably bumped, is a valid warm start.
+    /// within the Theorem-3 bound (+1 sweep). A stale decomposition,
+    /// suitably bumped, is therefore a valid warm start.
     pub tau_init: Option<Vec<u32>>,
-    /// Schedule only these r-cliques initially instead of the whole
-    /// universe — the incremental-maintenance fast path: after an edge
-    /// batch, only the cliques whose τ or containers the batch may have
-    /// changed need a first look; everything else is woken on demand by
-    /// the notification mechanism.
-    ///
-    /// Exactness does not depend on the set being complete: the final
-    /// certification sweep recomputes every clique before declaring a
-    /// fixed point, so an under-seeded run costs extra sweeps, not
-    /// correctness. ([`SweepMode::FullScan`] ignores it by construction.)
-    pub awake: Option<&'a [u32]>,
     /// Cooperative cancellation, probed once per sweep and, in the
     /// parallel frontier, every [`AND_CANCEL_POP_BATCH`] pops per worker.
     /// On `Err` all partial τ progress is discarded — callers that want
@@ -196,7 +184,6 @@ impl Default for AndOptions<'_> {
         AndOptions {
             notification: true,
             tau_init: None,
-            awake: None,
             cancel: CancelToken::none(),
             observer: None,
         }
@@ -263,16 +250,13 @@ struct DrainFrontier {
 
 impl DrainFrontier {
     /// Builds the worklist with every r-clique scheduled (line 4 of
-    /// Algorithm 3: all start awake), or only `awake` when given (the
-    /// incremental warm-start path).
-    fn seeded(perm: &[u32], awake: Option<&[u32]>) -> Self {
+    /// Algorithm 3: all start awake).
+    fn seeded(perm: &[u32]) -> Self {
         let f = DrainFrontier {
             worklist: ConcurrentWorklist::new(perm.len()),
             quiesce: QuiescenceCounter::new(),
         };
-        for &i in awake.unwrap_or(perm) {
-            f.issue_push(i);
-        }
+        f.reschedule_all(perm);
         f
     }
 
@@ -311,22 +295,19 @@ struct SeqFrontier {
 }
 
 impl SeqFrontier {
-    fn seeded(perm: &[u32], awake: Option<&[u32]>) -> Self {
+    fn seeded(perm: &[u32]) -> Self {
         let n = perm.len();
         let mut rank = vec![0u32; n];
         for (k, &i) in perm.iter().enumerate() {
             rank[i as usize] = k as u32;
         }
-        let seed = awake.unwrap_or(perm);
         let mut f = SeqFrontier {
             queued: vec![false; n],
-            next: Vec::with_capacity(seed.len()),
+            next: Vec::with_capacity(n),
             rank,
             snapshot: Vec::with_capacity(n),
         };
-        for &i in seed {
-            f.push(i as usize);
-        }
+        f.reschedule_all(perm);
         f
     }
 
@@ -360,7 +341,7 @@ fn and_sequential<A: SweepAccess>(
     perm: &[u32],
     opts: AndOptions<'_>,
 ) -> Result<ConvergenceResult, Cancelled> {
-    let AndOptions { notification, tau_init, awake, cancel, mut observer } = opts;
+    let AndOptions { notification, tau_init, cancel, mut observer } = opts;
     let mode = if notification { cfg.sweep_mode } else { SweepMode::FullScan };
     let armed = cancel.is_armed();
     let n = access.len();
@@ -368,19 +349,10 @@ fn and_sequential<A: SweepAccess>(
     let mut buf = HBuffer::new();
 
     let mut frontier =
-        if mode == SweepMode::Frontier { Some(SeqFrontier::seeded(perm, awake)) } else { None };
+        if mode == SweepMode::Frontier { Some(SeqFrontier::seeded(perm)) } else { None };
     // Wake flags, FlagScan only (all r-cliques start active, as in the
-    // paper, unless an initial awake set narrows it); the other modes
-    // never read them, so don't pay the O(n).
-    let mut active = match (mode, awake) {
-        (SweepMode::FlagScan, None) => vec![true; n],
-        (SweepMode::FlagScan, Some(ids)) => {
-            let mut a = vec![false; n];
-            ids.iter().for_each(|&i| a[i as usize] = true);
-            a
-        }
-        _ => Vec::new(),
-    };
+    // paper); the other modes never read them, so don't pay the O(n).
+    let mut active = if mode == SweepMode::FlagScan { vec![true; n] } else { Vec::new() };
 
     let mut scheduler = SchedulerStats::from_chunks(vec![0]);
     let mut updates_per_iter = Vec::new();
@@ -499,7 +471,7 @@ fn and_parallel<A: SweepAccess>(
     perm: &[u32],
     opts: AndOptions<'_>,
 ) -> Result<ConvergenceResult, Cancelled> {
-    let AndOptions { notification, tau_init, awake, cancel, mut observer } = opts;
+    let AndOptions { notification, tau_init, cancel, mut observer } = opts;
     let mode = if notification { cfg.sweep_mode } else { SweepMode::FullScan };
     let cancel = &cancel;
     let armed = cancel.is_armed();
@@ -510,17 +482,9 @@ fn and_parallel<A: SweepAccess>(
     let tau = AtomicU32Vec::from_vec(tau_init.unwrap_or_else(|| access.initial()));
 
     let frontier =
-        if mode == SweepMode::Frontier { Some(DrainFrontier::seeded(perm, awake)) } else { None };
+        if mode == SweepMode::Frontier { Some(DrainFrontier::seeded(perm)) } else { None };
     // Wake flags, FlagScan only; Frontier/FullScan never touch them.
-    let active =
-        AtomicBitset::new(if mode == SweepMode::FlagScan { n } else { 0 }, awake.is_none());
-    if mode == SweepMode::FlagScan {
-        if let Some(ids) = awake {
-            for &i in ids {
-                active.set(i as usize);
-            }
-        }
-    }
+    let active = AtomicBitset::new(if mode == SweepMode::FlagScan { n } else { 0 }, true);
 
     let mut scheduler = SchedulerStats::default();
     let mut updates_per_iter = Vec::new();
@@ -961,14 +925,8 @@ mod tests {
         let sp = CoreSpace::new(&g);
         let n = sp.num_cliques();
         let tau: Vec<u32> = (0..n).map(|i| sp.degree(i)).collect();
-        let awake: Vec<u32> = (0..n as u32).collect();
         let resume_under = |cfg: &LocalConfig, cancel: CancelToken| {
-            let opts = AndOptions {
-                tau_init: Some(tau.clone()),
-                awake: Some(&awake),
-                cancel,
-                ..AndOptions::default()
-            };
+            let opts = AndOptions { tau_init: Some(tau.clone()), cancel, ..AndOptions::default() };
             and_opts(&sp, cfg, &Order::Natural, opts)
         };
         let past = std::time::Instant::now() - std::time::Duration::from_millis(1);

@@ -1,10 +1,10 @@
 //! Incremental clique-space maintenance: splicing a [`CachedSpace`] across
 //! an edge batch instead of re-enumerating it.
 //!
-//! PR 2 made the *decomposition* refresh cheap; what remained expensive was
-//! everything underneath it — rebuilding the graph, re-enumerating every
-//! triangle and K4, and re-materializing the flat container cache on each
-//! update. This module closes that gap using the remaps produced by
+//! Rebuilding the graph, re-enumerating every triangle and K4 and
+//! re-materializing the flat container cache on each update would dwarf
+//! the decomposition itself (building the rows costs ≈ 8× their peel).
+//! This module splices instead, using the remaps produced by
 //! [`hdsd_graph::delta`]:
 //!
 //! * the **core** space's containers are the adjacency itself, so its
@@ -18,10 +18,14 @@
 //!   membership changed ([`hdsd_graph::mark_k4_touched`]); every other row
 //!   is copied with triangle ids remapped — no global K4 enumeration.
 //!
-//! Each function also returns the `new id → old id` clique remap, which is
-//! what lets the warm-started refresh carry stale κ across the update
-//! **positionally**, with no identity hashing
-//! (see [`crate::incremental::warm_refresh`]).
+//! The spliced rows are what the κ refresh peels
+//! ([`crate::incremental::refresh_kappa`]). Each function also returns the
+//! `new id → old id` clique remap and the **touched** set — the surviving
+//! cliques whose container set changed, which the splice has to know anyway
+//! to decide which rows to re-derive — so a resident forest is repaired
+//! from exactly the cliques the batch reached
+//! ([`crate::hierarchy::repair_hierarchy`]'s `dirty_seed`), positionally,
+//! with no identity hashing.
 
 use hdsd_graph::{
     try_for_each_k4_of_triangle, CsrDelta, CsrGraph, TriangleDelta, TriangleList, NO_ID,
@@ -35,17 +39,38 @@ pub struct SpaceDelta {
     pub cached: CachedSpace,
     /// New clique id → old clique id ([`NO_ID`] for batch-created cliques).
     pub new_to_old: Vec<u32>,
+    /// The surviving cliques (new ids, ascending) whose container set the
+    /// batch changed: a containing s-clique was created or destroyed.
+    /// Exactly that set — batch-created cliques are not in it (they have no
+    /// old row to differ from) and neither are cliques whose κ merely
+    /// moved.
+    pub touched: Vec<u32>,
 }
 
-/// The (1,2) core space after the batch. Vertex ids are stable; the
-/// snapshot is re-materialized from the already-spliced CSR (a flat copy —
-/// the core space's containers *are* the adjacency rows).
-pub fn core_space_delta(new_graph: &CsrGraph, old_num_vertices: usize) -> SpaceDelta {
+/// The surviving members of a splice's `touched` mask, ascending.
+fn surviving_touched(mask: &[bool], new_to_old: &[u32]) -> Vec<u32> {
+    (0..mask.len() as u32)
+        .filter(|&i| mask[i as usize] && new_to_old[i as usize] != NO_ID)
+        .collect()
+}
+
+/// The (1,2) core space after the batch `ed` that turned `old_graph` into
+/// `new_graph`. Vertex ids are stable; the snapshot is re-materialized from
+/// the already-spliced CSR (a flat copy — the core space's containers *are*
+/// the adjacency rows), and the touched vertices are the batch endpoints
+/// whose neighbor row differs (an edge removed and re-inserted in one
+/// batch leaves its endpoints' rows as they were).
+pub fn core_space_delta(old_graph: &CsrGraph, new_graph: &CsrGraph, ed: &CsrDelta) -> SpaceDelta {
     let cached = CachedSpace::build(&CoreSpace::new(new_graph));
+    let old_n = old_graph.num_vertices();
     let n = new_graph.num_vertices();
-    let new_to_old =
-        (0..n as u32).map(|v| if (v as usize) < old_num_vertices { v } else { NO_ID }).collect();
-    SpaceDelta { cached, new_to_old }
+    let new_to_old = (0..n as u32).map(|v| if (v as usize) < old_n { v } else { NO_ID }).collect();
+    let mut touched = ed.inserted_endpoints(new_graph);
+    touched.extend(ed.removed_endpoints(old_graph));
+    touched.sort_unstable();
+    touched.dedup();
+    touched.retain(|&v| (v as usize) < old_n && old_graph.neighbors(v) != new_graph.neighbors(v));
+    SpaceDelta { cached, new_to_old, touched }
 }
 
 /// The (2,3) truss space after the batch: untouched rows of the old
@@ -92,7 +117,8 @@ pub fn truss_space_delta(
         clique_verts.push(v);
     }
     let cached = CachedSpace::from_parts((2, 3), old.name(), flat, clique_verts);
-    SpaceDelta { cached, new_to_old: ed.new_to_old.clone() }
+    let touched = surviving_touched(&touched, &ed.new_to_old);
+    SpaceDelta { cached, new_to_old: ed.new_to_old.clone(), touched }
 }
 
 /// The (3,4) nucleus space after the batch: only rows of triangles whose
@@ -123,7 +149,8 @@ pub fn nucleus34_space_delta(
         clique_verts.extend_from_slice(vs);
     }
     let cached = CachedSpace::from_parts((3, 4), old.name(), flat, clique_verts);
-    SpaceDelta { cached, new_to_old: td.new_to_old.clone() }
+    let touched = surviving_touched(&touched, &td.new_to_old);
+    SpaceDelta { cached, new_to_old: td.new_to_old.clone(), touched }
 }
 
 #[cfg(test)]
@@ -187,8 +214,10 @@ mod tests {
         let n34 = nucleus34_space_delta(&old_n34, &g, &tl, &g2, &ed, &td);
         assert_cached_eq(&n34.cached, &CachedSpace::build(&Nucleus34Space::on_the_fly(&g2)));
 
-        let core = core_space_delta(&g2, g.num_vertices());
+        let core = core_space_delta(&g, &g2, &ed);
         assert_cached_eq(&core.cached, &CachedSpace::build(&CoreSpace::new(&g2)));
         assert!(core.new_to_old.iter().all(|&o| o != NO_ID));
+        // Every batch endpoint's row changed; vertex 3 lost (2,3) only.
+        assert_eq!(core.touched, vec![0, 1, 2, 3, 4, 5, 6]);
     }
 }

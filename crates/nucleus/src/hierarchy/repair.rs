@@ -98,13 +98,12 @@ pub struct RepairStats {
 ///
 /// `dirty_seed` (new ids) must contain every surviving clique whose
 /// **container set** changed (a containing s-clique was created or
-/// destroyed). The warm refresh's structural set
-/// ([`crate::incremental::RefreshOutcome::perturbed`]: new cliques, cliques
-/// with a batch endpoint, their container partners — not the lift
-/// candidates it also wakes) satisfies this by construction. κ-changes are derived internally (the old forest knows
-/// every old clique's κ — its owning node's `k`), so callers need not
-/// compute them, and batch-created cliques are always dirty regardless of
-/// the seed. Over-approximating the seed costs time, never correctness.
+/// destroyed). The splice's touched set ([`crate::SpaceDelta::touched`]) is
+/// exactly that set, and is what the update path passes. κ-changes are
+/// derived internally (the old forest knows every old clique's κ — its
+/// owning node's `k`), so callers need not compute them, and batch-created
+/// cliques are always dirty regardless of the seed. Over-approximating the
+/// seed costs time, never correctness.
 ///
 /// # Panics
 /// Panics when `kappa` or `new_to_old` don't match `space`, or when an id

@@ -75,8 +75,8 @@ pub use hierarchy::{
     HierarchyNode, RepairStats,
 };
 pub use incremental::{
-    rebuild_graph, warm_refresh, warm_tau_init_of, BatchOutcome, CoreKind, Incremental,
-    IncrementalCore, Nucleus34Kind, RefreshOutcome, SpaceKind, TrussKind, WarmStart,
+    rebuild_graph, refresh_kappa, BatchOutcome, CoreKind, Incremental, IncrementalCore,
+    Nucleus34Kind, SpaceKind, TrussKind,
 };
 pub use levels::{degree_levels, DegreeLevels};
 pub use peel::{

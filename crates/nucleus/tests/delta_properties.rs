@@ -1,16 +1,17 @@
 //! Property tests for the incremental update path: on random Holme–Kim
 //! graphs with random mixed insert/remove batches, the delta-maintained
 //! structures must be **structurally identical** to from-scratch builds at
-//! every layer (CSR, triangle list, container caches), and the
-//! warm-started refresh must stay bit-identical to a cold peel for all
-//! three spaces. Case counts are proptest-driven, so the nightly
+//! every layer (CSR, triangle list, container caches), the splice's
+//! touched set must be exactly the surviving cliques whose container set
+//! changed, and the refreshed κ must stay bit-identical to a cold peel for
+//! all three spaces. Case counts are proptest-driven, so the nightly
 //! `slow-props` job's `PROPTEST_CASES` override deepens this suite too.
 
 use hdsd_graph::{apply_edge_batch, triangle_delta, CsrGraph, TriangleList, VertexId, NO_ID};
 use hdsd_nucleus::{
     core_space_delta, nucleus34_space_delta, peel, rebuild_graph, truss_space_delta, CachedSpace,
-    CliqueSpace, CoreKind, CoreSpace, Incremental, Nucleus34Kind, Nucleus34Space, SpaceKind,
-    TrussKind, TrussSpace,
+    CliqueSpace, CoreKind, CoreSpace, Incremental, Nucleus34Kind, Nucleus34Space, SpaceDelta,
+    SpaceKind, TrussKind, TrussSpace,
 };
 
 use proptest::prelude::*;
@@ -78,6 +79,35 @@ fn sorted_containers(space: &CachedSpace, i: usize) -> Vec<Vec<usize>> {
     v
 }
 
+/// A row as a sorted multiset of sorted containers, members named by *old*
+/// id through `remap` (`NO_ID` for a batch-created member).
+fn row_in_old_ids(space: &CachedSpace, i: usize, remap: impl Fn(usize) -> u32) -> Vec<Vec<u32>> {
+    let mut v: Vec<Vec<u32>> = Vec::new();
+    space.for_each_container(i, |o| {
+        let mut c: Vec<u32> = o.iter().map(|&x| remap(x)).collect();
+        c.sort_unstable();
+        v.push(c);
+    });
+    v.sort();
+    v
+}
+
+/// `SpaceDelta::touched` against its definition, by brute force: the
+/// surviving new ids whose container multiset, read through `new_to_old`,
+/// differs from the old row.
+fn assert_touched_is_exact(old: &CachedSpace, sd: &SpaceDelta, ctx: &str) {
+    let brute: Vec<u32> = (0..sd.cached.num_cliques())
+        .filter(|&i| {
+            let o = sd.new_to_old[i];
+            o != NO_ID
+                && row_in_old_ids(&sd.cached, i, |x| sd.new_to_old[x])
+                    != row_in_old_ids(old, o as usize, |x| x as u32)
+        })
+        .map(|i| i as u32)
+        .collect();
+    assert_eq!(sd.touched, brute, "{ctx}: touched set");
+}
+
 fn assert_same_cached(spliced: &CachedSpace, fresh: &CachedSpace, ctx: &str) {
     assert_eq!(spliced.num_cliques(), fresh.num_cliques(), "{ctx}: clique count");
     for i in 0..fresh.num_cliques() {
@@ -104,7 +134,10 @@ proptest! {
         let old_n34 = CachedSpace::build(&Nucleus34Space::with_triangles(&g, &tl));
 
         let mut rng = 0xABCDEF ^ batch_seed;
-        let (ins, rm) = random_batch(&g, &mut rng);
+        let (mut ins, rm) = random_batch(&g, &mut rng);
+        if batch_seed.is_multiple_of(2) {
+            ins.push(rm[0]); // removed and re-inserted in one batch: present
+        }
         let ctx = format!("n {n} m {m} seed {seed} batch {batch_seed}");
 
         // Layer 1: the spliced CSR is bit-identical to a rebuild.
@@ -139,12 +172,19 @@ proptest! {
             &CachedSpace::build(&Nucleus34Space::on_the_fly(&g2)),
             &format!("{ctx} nucleus34"),
         );
-        let core = core_space_delta(&g2, g.num_vertices());
+        let core = core_space_delta(&g, &g2, &ed);
         assert_same_cached(
             &core.cached,
             &CachedSpace::build(&CoreSpace::new(&g2)),
             &format!("{ctx} core"),
         );
+
+        // Layer 4: each splice reports exactly the surviving cliques whose
+        // container set changed.
+        assert_touched_is_exact(&old_truss, &truss, &format!("{ctx} truss"));
+        assert_touched_is_exact(&old_n34, &n34, &format!("{ctx} nucleus34"));
+        let old_core = CachedSpace::build(&CoreSpace::new(&g));
+        assert_touched_is_exact(&old_core, &core, &format!("{ctx} core"));
     }
 }
 

@@ -83,7 +83,7 @@ fn chained_repairs_equal_cold<K: SpaceKind>(
             inc.kappa(),
             &out.new_to_old,
             out.old_num_cliques,
-            &out.repair_dirty_seed(inc.kappa()),
+            &out.touched,
         );
         let cold = build_hierarchy(inc.cached(), inc.kappa());
         // The property: repair ≡ cold rebuild, structurally. On failure,
@@ -215,7 +215,7 @@ fn small_batches_preserve_most_of_the_forest() {
         inc.kappa(),
         &out.new_to_old,
         out.old_num_cliques,
-        &out.repair_dirty_seed(inc.kappa()),
+        &out.touched,
     );
     assert_forest_eq(&repaired, &build_hierarchy(inc.cached(), inc.kappa()));
     assert!(
@@ -248,7 +248,7 @@ fn deletion_heavy_batches_stay_equivalent() {
                 inc.kappa(),
                 &out.new_to_old,
                 out.old_num_cliques,
-                &out.repair_dirty_seed(inc.kappa()),
+                &out.touched,
             );
             assert_forest_eq(&repaired, &build_hierarchy(inc.cached(), inc.kappa()));
             forest = repaired;
@@ -271,7 +271,7 @@ fn wipe_and_regrow_round_trips() {
         inc.kappa(),
         &out.new_to_old,
         out.old_num_cliques,
-        &out.repair_dirty_seed(inc.kappa()),
+        &out.touched,
     );
     assert!(repaired.is_empty(), "wiped graph must repair to an empty forest");
     assert_forest_eq(&repaired, &build_hierarchy(inc.cached(), inc.kappa()));
@@ -283,7 +283,7 @@ fn wipe_and_regrow_round_trips() {
         inc.kappa(),
         &out.new_to_old,
         out.old_num_cliques,
-        &out.repair_dirty_seed(inc.kappa()),
+        &out.touched,
     );
     assert_forest_eq(&regrown, &build_hierarchy(inc.cached(), inc.kappa()));
 }

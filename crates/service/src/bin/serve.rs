@@ -249,12 +249,16 @@ fn run(args: &[String]) -> Result<(), String> {
                 if rep.cold_start {
                     "fresh directory"
                 } else {
-                    "recovered from checkpoint — κ adopted, nothing re-peeled"
+                    "recovered from checkpoint — κ adopted, WAL tail applied as one update"
                 };
                 "replayed" => rep.replayed,
                 "torn_bytes" => rep.torn_bytes,
                 "generation" => rep.generation,
                 "recovery_micros" => rep.wall_us,
+                "read_micros" => rep.read_us,
+                "fold_micros" => rep.fold_us,
+                "apply_micros" => rep.apply_us,
+                "checkpoint_micros" => rep.checkpoint_us,
             );
             Server::with_durability(engine, dur)
         }

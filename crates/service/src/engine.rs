@@ -13,9 +13,11 @@
 //!   index" idea);
 //! * **edge batches** splice the CSR, the shared triangle substrate and
 //!   every space snapshot ([`hdsd_graph::delta`],
-//!   [`hdsd_nucleus::delta`]), then refresh κ with the warm-started,
-//!   candidate-lifted resume ([`warm_refresh`]) — nothing is rebuilt
-//!   or re-enumerated globally;
+//!   [`hdsd_nucleus::delta`]), then refresh κ by peeling the spliced rows
+//!   ([`refresh_kappa`] — the paper's Theorem 4: one pass in κ order) and
+//!   repair resident forests from the splice's touched set — nothing is
+//!   rebuilt or re-enumerated globally, and a batch that changes nothing
+//!   re-publishes the current epoch's contents;
 //! * **snapshots** serialize graph + κ + hierarchies for fast restart.
 //!
 //! ## Epoch immutability
@@ -36,11 +38,11 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use hdsd_graph::{apply_edge_batch, triangle_delta, CsrGraph, TriangleList, VertexId, NO_ID};
+use hdsd_graph::{apply_edge_batch, triangle_delta, CsrDelta, CsrGraph, TriangleList, VertexId};
 use hdsd_nucleus::hierarchy::NucleusDensity;
 use hdsd_nucleus::{
     build_hierarchy, build_hierarchy_within, core_space_delta, local_estimate_opts,
-    nucleus34_space_delta, peel, truss_space_delta, warm_refresh, CachedSpace, CancelToken,
+    nucleus34_space_delta, peel, refresh_kappa, truss_space_delta, CachedSpace, CancelToken,
     Cancelled, CliqueSpace, CoreSpace, Hierarchy, LocalConfig, Nucleus34Space, QueryEstimate,
     QueryOptions, Snapshot, SpaceSnapshot, TrussSpace,
 };
@@ -217,6 +219,23 @@ impl SpaceView {
         }
     }
 
+    /// The same contents for the next epoch: every `Arc` shared, a resident
+    /// hierarchy index carried over.
+    fn share(&self) -> SpaceView {
+        let hierarchy = OnceLock::new();
+        if let Some(hi) = self.hierarchy.get() {
+            let _ = hierarchy.set(hi.clone());
+        }
+        SpaceView {
+            sel: self.sel,
+            cached: Arc::clone(&self.cached),
+            kappa: Arc::clone(&self.kappa),
+            hierarchy,
+            build_us: self.build_us,
+            peel_us: self.peel_us,
+        }
+    }
+
     /// The resident hierarchy index, materializing it on first use. Safe
     /// under concurrent readers: `OnceLock` serializes initializers and
     /// every caller sees the same index for the lifetime of this epoch.
@@ -285,22 +304,21 @@ pub struct HierarchyRepairReport {
     pub full_rebuild: bool,
 }
 
-/// Telemetry of one space's warm refresh.
+/// Telemetry of one space's κ refresh.
 #[derive(Clone, Debug)]
 pub struct SpaceRefresh {
     /// Space name.
     pub space: &'static str,
-    /// Sweeps the resumed run needed (including certification).
-    pub sweeps: usize,
-    /// r-clique recomputations across the refresh.
+    /// r-cliques the refresh peeled (the space's clique count; 0 for a
+    /// batch that changed nothing).
     pub processed: u64,
-    /// Cliques seeded awake (batch-perturbed).
+    /// Surviving cliques whose container set the batch changed
+    /// ([`hdsd_nucleus::SpaceDelta::touched`]) — what a forest repair is
+    /// seeded with.
     pub awake: usize,
-    /// Surviving cliques lifted by the candidate traversal.
-    pub lifted: usize,
     /// Wall time of the space snapshot splice (container-cache patch).
     pub splice_us: u64,
-    /// Wall time of the warm κ refresh (candidate lift + resumed sweeps).
+    /// Wall time of the κ refresh (the peel of the spliced rows).
     pub refresh_us: u64,
     /// Incremental hierarchy repair telemetry, when a forest was resident
     /// (`None` when the space had no hierarchy built yet — nothing to
@@ -326,6 +344,25 @@ pub struct UpdateReport {
     pub hierarchy_repair_us: u64,
     /// Wall time of the whole update (substrate delta + all refreshes).
     pub wall_us: u64,
+}
+
+impl UpdateReport {
+    /// A report whose wall time is still to be stamped (by `publish`).
+    fn unstamped(
+        ed: &CsrDelta,
+        graph_delta_us: u64,
+        spaces: Vec<SpaceRefresh>,
+        hierarchy_repair_us: u64,
+    ) -> UpdateReport {
+        UpdateReport {
+            inserted: ed.inserted(),
+            removed: ed.removed(),
+            graph_delta_us,
+            spaces,
+            hierarchy_repair_us,
+            wall_us: 0,
+        }
+    }
 }
 
 /// Point-in-time statistics of one resident space.
@@ -783,12 +820,18 @@ impl Engine {
 
     /// Applies an edge batch by building the **next epoch off to the
     /// side**: the CSR, the triangle substrate, and every resident space
-    /// snapshot are spliced into fresh values, κ is refreshed via the
-    /// candidate-lifted warm start with stale values carried positionally
-    /// through the id remaps, and resident hierarchies are **repaired**
-    /// ([`Hierarchy::repair`]) instead of invalidated. The current view is
-    /// never touched — readers holding it keep answering bit-identically
-    /// — and on return `self.view` is the new epoch, ready to publish.
+    /// snapshot are spliced into fresh values, κ is refreshed by peeling
+    /// the spliced rows ([`refresh_kappa`]), and resident hierarchies are
+    /// **repaired** ([`Hierarchy::repair`], seeded with the splice's
+    /// touched set) instead of invalidated. The current view is never
+    /// touched — readers holding it keep answering bit-identically — and
+    /// on return `self.view` is the new epoch, ready to publish.
+    ///
+    /// A batch that changes neither the edge set nor the vertex count
+    /// (an idempotent retry, a WAL record the checkpoint already holds)
+    /// costs one [`apply_edge_batch`] and nothing else: the next epoch
+    /// shares every `Arc` of this one, and the per-space report rows are
+    /// all zeros.
     ///
     /// This is a deliberately read-optimized trade: forest maintenance
     /// (including the cold build the repair degrades to when nothing is
@@ -796,8 +839,7 @@ impl Engine {
     /// forest) is paid here, at update time, keeping every subsequent
     /// region query rebuild-free. Update-heavy workloads that never touch
     /// `region`/`nuclei` simply never make a hierarchy resident and pay
-    /// none of it. Everything else scales with the perturbation; nothing
-    /// outside the forests is rebuilt globally.
+    /// none of it. Nothing outside the forests is rebuilt globally.
     ///
     /// A region query racing the update may fill the *old* epoch's
     /// hierarchy `OnceLock` after this writer checked it; the new epoch
@@ -814,10 +856,11 @@ impl Engine {
     }
 
     /// [`Engine::update`] under a cancellation token, threaded into every
-    /// space's warm κ refresh (the dominant cost). Because the next epoch
-    /// is built entirely off to the side, a mid-update trip is trivially
-    /// sound: the partial next view is dropped, `self.view` still points
-    /// at the old epoch, and readers never observe anything in between.
+    /// space's κ refresh (the peel probes it as `"peel drain"`). Because
+    /// the next epoch is built entirely off to the side, a mid-update trip
+    /// is trivially sound: the partial next view is dropped, `self.view`
+    /// still points at the old epoch, and readers never observe anything in
+    /// between.
     ///
     /// Durability note: callers that append to a WAL **before** applying
     /// must only pass tokens that cannot trip here (or re-apply on
@@ -830,20 +873,68 @@ impl Engine {
         remove: &[(VertexId, VertexId)],
         cancel: &CancelToken,
     ) -> Result<UpdateReport, Cancelled> {
+        self.apply(insert, remove, 1, cancel)
+    }
+
+    /// Applies the net effect of `batches` logged batches as **one**
+    /// update — one splice, one peel and one repair per space — while
+    /// `updates_applied` advances by `batches`, as if each had been applied
+    /// in turn. Recovery folds a WAL tail through this
+    /// ([`crate::Durability::open`]); nobody can read the states in
+    /// between, so nobody pays for them.
+    pub fn update_folded(
+        &mut self,
+        insert: &[(VertexId, VertexId)],
+        remove: &[(VertexId, VertexId)],
+        batches: u64,
+    ) -> UpdateReport {
+        self.apply(insert, remove, batches, &CancelToken::none())
+            .expect("an unarmed token never cancels")
+    }
+
+    fn apply(
+        &mut self,
+        insert: &[(VertexId, VertexId)],
+        remove: &[(VertexId, VertexId)],
+        batches: u64,
+        cancel: &CancelToken,
+    ) -> Result<UpdateReport, Cancelled> {
         if cancel.is_armed() {
             cancel.check("before update")?;
         }
         let start = Instant::now();
-        let old = &self.view;
-        let (new_graph, ed, td) = {
-            span!("update.graph_delta");
-            let (new_graph, ed) = apply_edge_batch(&old.graph, insert, remove);
-            let td = old.triangles.as_deref().map(|tl| triangle_delta(tl, &new_graph, &ed));
-            (new_graph, ed, td)
-        };
+        let old = Arc::clone(&self.view);
+        let delta_span = hdsd_telemetry::trace::Span::enter("update.graph_delta");
+        let (new_graph, ed) = apply_edge_batch(&old.graph, insert, remove);
+        // An insert naming a vertex beyond the current set grows the vertex
+        // set even when its edge is dropped, so that batch is not a no-op.
+        if ed.is_noop() && new_graph.num_vertices() == old.graph.num_vertices() {
+            drop(delta_span);
+            let graph_delta_us = start.elapsed().as_micros() as u64;
+            let next = EngineView {
+                graph: Arc::clone(&old.graph),
+                triangles: old.triangles.clone(),
+                spaces: old.spaces.iter().map(SpaceView::share).collect(),
+                updates_applied: old.updates_applied + batches,
+            };
+            let spaces = old
+                .spaces
+                .iter()
+                .map(|st| SpaceRefresh {
+                    space: st.sel.name(),
+                    processed: 0,
+                    awake: 0,
+                    splice_us: 0,
+                    refresh_us: 0,
+                    hierarchy_repair: None,
+                })
+                .collect();
+            let report = UpdateReport::unstamped(&ed, graph_delta_us, spaces, 0);
+            return Ok(self.publish(next, start, report));
+        }
+        let td = old.triangles.as_deref().map(|tl| triangle_delta(tl, &new_graph, &ed));
+        drop(delta_span);
         let graph_delta_us = start.elapsed().as_micros() as u64;
-        let ins_ends = ed.inserted_endpoints(&new_graph);
-        let rm_ends = ed.removed_endpoints(&old.graph);
 
         let mut reports = Vec::with_capacity(old.spaces.len());
         let mut new_spaces = Vec::with_capacity(old.spaces.len());
@@ -852,7 +943,7 @@ impl Engine {
             let t_splice = Instant::now();
             let splice_span = hdsd_telemetry::trace::Span::enter("update.splice");
             let sd = match st.sel {
-                SpaceSel::Core => core_space_delta(&new_graph, old.graph.num_vertices()),
+                SpaceSel::Core => core_space_delta(&old.graph, &new_graph, &ed),
                 SpaceSel::Truss => truss_space_delta(
                     &st.cached,
                     old.triangles.as_deref().unwrap(),
@@ -872,38 +963,23 @@ impl Engine {
             drop(splice_span);
             let splice_us = t_splice.elapsed().as_micros() as u64;
             let t_refresh = Instant::now();
-            let stale_of: Vec<Option<u32>> = sd
-                .new_to_old
-                .iter()
-                .map(|&o| if o == NO_ID { None } else { Some(st.kappa[o as usize]) })
-                .collect();
-            let out = {
+            let kappa = {
                 span!("update.refresh");
-                warm_refresh(
-                    &stale_of,
-                    &sd.cached,
-                    &ins_ends,
-                    &rm_ends,
-                    ed.inserted(),
-                    &self.local,
-                    cancel,
-                )?
+                refresh_kappa(&sd.cached, &self.local, cancel)?.kappa
             };
             let refresh_us = t_refresh.elapsed().as_micros() as u64;
-            let old_num_cliques = st.cached.num_cliques();
             // The next epoch inherits a repaired forest iff this epoch has
             // one resident at this instant (see the race note above).
             let mut next_hierarchy = None;
             let hierarchy_repair = st.hierarchy.get().map(|hi| {
                 let t_repair = Instant::now();
                 span!("update.repair");
-                let dirty = out.repair_dirty_seed(&stale_of);
                 let (forest, stats) = hi.forest.repair(
                     &sd.cached,
-                    &out.result.tau,
+                    &kappa,
                     &sd.new_to_old,
-                    old_num_cliques,
-                    &dirty,
+                    st.cached.num_cliques(),
+                    &sd.touched,
                 );
                 next_hierarchy =
                     Some(HierarchyIndex::from_forest(Arc::new(forest), sd.cached.num_cliques()));
@@ -919,17 +995,11 @@ impl Engine {
                     full_rebuild: stats.full_rebuild,
                 }
             });
-            // Flow the scheduler/refresh counters (previously dropped with
-            // the ConvergenceResult) into the registry, labeled by space.
+            let processed = kappa.len() as u64;
             let reg = Registry::global();
             let lbl = [("space", st.sel.name())];
-            reg.counter(&labeled("refresh_sweeps_total", &lbl)).add(out.result.sweeps as u64);
-            reg.counter(&labeled("refresh_processed_total", &lbl))
-                .add(out.result.total_processed());
-            reg.counter(&labeled("refresh_skipped_total", &lbl))
-                .add(out.result.scheduler.items_skipped);
-            reg.counter(&labeled("refresh_awake_total", &lbl)).add(out.awake as u64);
-            reg.counter(&labeled("refresh_lifted_total", &lbl)).add(out.lifted as u64);
+            reg.counter(&labeled("refresh_processed_total", &lbl)).add(processed);
+            reg.counter(&labeled("refresh_awake_total", &lbl)).add(sd.touched.len() as u64);
             reg.histogram(&labeled("update_splice_micros", &lbl)).record(splice_us);
             reg.histogram(&labeled("update_refresh_micros", &lbl)).record(refresh_us);
             if let Some(hr) = &hierarchy_repair {
@@ -943,10 +1013,8 @@ impl Engine {
             }
             reports.push(SpaceRefresh {
                 space: st.sel.name(),
-                sweeps: out.result.sweeps,
-                processed: out.result.total_processed(),
-                awake: out.awake,
-                lifted: out.lifted,
+                processed,
+                awake: sd.touched.len(),
                 splice_us,
                 refresh_us,
                 hierarchy_repair,
@@ -958,7 +1026,7 @@ impl Engine {
             new_spaces.push(SpaceView {
                 sel: st.sel,
                 cached: Arc::new(sd.cached),
-                kappa: Arc::new(out.result.tau),
+                kappa: Arc::new(kappa),
                 hierarchy,
                 build_us: st.build_us,
                 peel_us: st.peel_us,
@@ -972,23 +1040,28 @@ impl Engine {
             graph: Arc::new(new_graph),
             triangles,
             spaces: new_spaces,
-            updates_applied: old.updates_applied + 1,
+            updates_applied: old.updates_applied + batches,
         };
-        let wall_us = start.elapsed().as_micros() as u64;
+        let report = UpdateReport::unstamped(&ed, graph_delta_us, reports, hierarchy_repair_us);
+        Ok(self.publish(next, start, report))
+    }
+
+    /// Swaps `next` in as the current epoch and closes the update's books
+    /// (`report.wall_us` is stamped here).
+    fn publish(
+        &mut self,
+        next: EngineView,
+        start: Instant,
+        mut report: UpdateReport,
+    ) -> UpdateReport {
+        report.wall_us = start.elapsed().as_micros() as u64;
         let reg = Registry::global();
-        reg.counter("updates_applied_total").inc();
-        reg.histogram("update_wall_micros").record(wall_us);
-        reg.histogram("update_graph_delta_micros").record(graph_delta_us);
+        reg.counter("updates_applied_total").add(next.updates_applied - self.view.updates_applied);
+        reg.histogram("update_wall_micros").record(report.wall_us);
+        reg.histogram("update_graph_delta_micros").record(report.graph_delta_us);
         next.publish_gauges();
         self.view = Arc::new(next);
-        Ok(UpdateReport {
-            inserted: ed.inserted(),
-            removed: ed.removed(),
-            graph_delta_us,
-            spaces: reports,
-            hierarchy_repair_us,
-            wall_us,
-        })
+        report
     }
 
     /// Serializes the current epoch zero-copy. See
@@ -1232,6 +1305,73 @@ mod tests {
             }
         }
         assert!(engine.stats().spaces.iter().all(|s| s.hierarchy_resident));
+    }
+
+    #[test]
+    fn noop_batches_share_the_previous_epoch() {
+        let g = hdsd_datasets::holme_kim(60, 4, 0.5, 8);
+        let n = g.num_vertices() as u32;
+        let present = g.edges()[3];
+        let mut engine = Engine::new(g, &full_config());
+        let _ = engine.nuclei_at(SpaceSel::Truss, 1).unwrap();
+        let old = engine.view();
+        // A present edge, a self-loop and an absent removal change nothing.
+        let report = engine.update(&[present, (5, 5)], &[(n + 3, n + 4)]);
+        assert_eq!((report.inserted, report.removed, report.hierarchy_repair_us), (0, 0, 0));
+        for s in &report.spaces {
+            assert_eq!((s.processed, s.awake, s.splice_us, s.refresh_us), (0, 0, 0, 0));
+            assert!(s.hierarchy_repair.is_none());
+        }
+        let new = engine.view();
+        assert_eq!(new.stats().updates_applied, old.stats().updates_applied + 1);
+        assert!(Arc::ptr_eq(&old.graph, &new.graph));
+        assert!(Arc::ptr_eq(old.triangles.as_ref().unwrap(), new.triangles.as_ref().unwrap()));
+        for (a, b) in old.spaces.iter().zip(&new.spaces) {
+            assert!(Arc::ptr_eq(&a.cached, &b.cached), "{}", a.sel.name());
+            assert!(Arc::ptr_eq(&a.kappa, &b.kappa), "{}", a.sel.name());
+            match (a.hierarchy.get(), b.hierarchy.get()) {
+                (Some(x), Some(y)) => {
+                    assert!(Arc::ptr_eq(&x.forest, &y.forest));
+                    assert!(Arc::ptr_eq(&x.node_of, &y.node_of));
+                }
+                (None, None) => {}
+                _ => panic!("{}: hierarchy residency changed", a.sel.name()),
+            }
+        }
+        // An insert naming a new vertex id grows the vertex set even when
+        // its edge is dropped: that goes the long way and stays exact.
+        let report = engine.update(&[(n + 1, n + 1)], &[]);
+        assert_eq!((report.inserted, report.removed), (0, 0));
+        assert_eq!(engine.graph().num_vertices() as u32, n + 2);
+        assert_eq!(report.spaces[0].processed, u64::from(n) + 2);
+        assert_eq!(engine.kappa_of(SpaceSel::Core, n as usize + 1), Ok(0));
+    }
+
+    #[test]
+    fn a_tripped_update_leaves_the_old_view_published() {
+        let g = hdsd_datasets::holme_kim(3000, 4, 0.5, 8);
+        let mut engine = Engine::new(g, &full_config());
+        let before = engine.view();
+        // Probe 1 is "before update"; every later one is the peel's, once
+        // per PEEL_CANCEL_CHUNK items — the second trips inside the core
+        // peel, the fourth inside the truss peel (3000 vertices are three
+        // probes).
+        for nth in [2, 4, 5] {
+            let err = engine
+                .update_within(
+                    &[(0, 1500), (1, 1501)],
+                    &[],
+                    &CancelToken::tripping_after_checks(nth),
+                )
+                .unwrap_err();
+            assert_eq!(err.stage, "peel drain", "probe {nth}");
+            assert!(Arc::ptr_eq(&before, &engine.view()), "probe {nth} published something");
+        }
+        assert_eq!(engine.stats().updates_applied, 0);
+        // The same batch under a token that never trips applies.
+        engine.update_within(&[(0, 1500), (1, 1501)], &[], &CancelToken::none()).unwrap();
+        assert_eq!(engine.stats().updates_applied, 1);
+        assert!(!Arc::ptr_eq(&before, &engine.view()));
     }
 
     #[test]

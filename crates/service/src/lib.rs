@@ -9,10 +9,9 @@
 //! * point lookups are vector reads; budgeted estimates run the local
 //!   algorithm with a Theorem-1 `lower ≤ κ ≤ estimate` interval; region
 //!   queries materialize nuclei from the resident hierarchy;
-//! * edge batches refresh κ with the candidate-lifted warm start
-//!   ([`hdsd_nucleus::warm_refresh`]: stale κ carried positionally through
-//!   the splice's id remap, then an awake-seeded And resume) instead of
-//!   recomputing, exactly;
+//! * edge batches splice the resident rows and refresh κ by peeling them
+//!   ([`hdsd_nucleus::refresh_kappa`] — one pass in κ order, exact), and
+//!   repair resident forests from the cliques the splice touched;
 //! * [`hdsd_nucleus::Snapshot`]s restart the engine without decomposing.
 //!
 //! Serving state is published in **epochs** ([`epoch`]): every update
@@ -30,8 +29,8 @@
 //! ([`recovery`]): update batches are appended to a checksummed
 //! write-ahead log ([`wal`]) *before* they are applied, checkpoints are
 //! atomic (temp file + rename, v4 trailer checksum), and startup recovery
-//! replays the WAL tail through the warm incremental-update path — a torn
-//! tail is detected and dropped, never partially applied.
+//! folds the WAL tail into one net batch applied as a single update — a
+//! torn tail is detected and dropped, never partially applied.
 
 pub mod engine;
 pub mod epoch;

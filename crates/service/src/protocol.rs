@@ -2,8 +2,8 @@
 //!
 //! One request per line in, one response per line out, over stdin/stdout
 //! or a TCP connection. Every response carries `"ok"` plus per-request
-//! telemetry (`micros`, and op-specific counters: sweeps for updates,
-//! explored cliques for estimates).
+//! telemetry (`micros`, and op-specific counters: cliques peeled and
+//! touched for updates, explored cliques for estimates).
 //!
 //! ```text
 //! → {"op":"kappa","space":"core","id":4}
@@ -11,7 +11,7 @@
 //! → {"op":"estimate","space":"truss","vertices":[0,1],"iterations":3,"budget":4096}
 //! ← {"ok":true,"estimate":2,"lower":2,"interval":[2,2],...}
 //! → {"op":"update","insert":[[7,9]],"remove":[[0,3]]}
-//! ← {"ok":true,"inserted":1,"removed":1,"spaces":[{"space":"core","sweeps":3,...}],...}
+//! ← {"ok":true,"inserted":1,"removed":1,"spaces":[{"space":"core","processed":7,...}],...}
 //! ```
 //!
 //! Ops: `stats`, `kappa`, `estimate`, `nuclei`, `region`, `node`,
@@ -68,7 +68,8 @@
 //! log and fsynced per policy *before* the engine applies it; the response
 //! then carries the batch's `wal_seq`. `checkpoint` folds the engine into
 //! an atomic snapshot (temp file + rename) and truncates the WAL;
-//! `wal_stats` reports log telemetry plus the startup recovery report.
+//! `wal_stats` reports log telemetry plus the startup recovery report
+//! (records replayed, and where the open's time went).
 //! `save` writes a point-in-time snapshot to an arbitrary path with the
 //! same temp-file + rename + fsync discipline.
 //!
@@ -846,10 +847,8 @@ impl Server {
                     .map(|s| {
                         let mut fields = vec![
                             ("space".to_string(), s.space.into()),
-                            ("sweeps".to_string(), s.sweeps.into()),
                             ("processed".to_string(), s.processed.into()),
                             ("awake".to_string(), s.awake.into()),
-                            ("lifted".to_string(), s.lifted.into()),
                             ("splice_micros".to_string(), s.splice_us.into()),
                             ("refresh_micros".to_string(), s.refresh_us.into()),
                         ];
@@ -991,6 +990,10 @@ impl Server {
                     ("replayed", r.replayed.into()),
                     ("torn_bytes", r.torn_bytes.into()),
                     ("wall_micros", r.wall_us.into()),
+                    ("read_micros", r.read_us.into()),
+                    ("fold_micros", r.fold_us.into()),
+                    ("apply_micros", r.apply_us.into()),
+                    ("checkpoint_micros", r.checkpoint_us.into()),
                 ]),
             ),
         ]))
@@ -1590,12 +1593,16 @@ mod tests {
         assert_eq!(
             micros_keys,
             [
+                "apply_micros",
                 "build_micros",
+                "checkpoint_micros",
                 "dur_micros",
+                "fold_micros",
                 "graph_delta_micros",
                 "hierarchy_repair_micros",
                 "micros",
                 "peel_micros",
+                "read_micros",
                 "refresh_micros",
                 "repair_micros",
                 "splice_micros",

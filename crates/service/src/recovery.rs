@@ -23,11 +23,22 @@
 //!    leaves the new snapshot + a stale WAL whose replay is idempotent
 //!    (see the [`crate::wal`] module docs) — both recover exactly.
 //!
-//! Recovery ([`Durability::open`]) is the warm path the paper's locality
-//! argument makes cheap: load the snapshot (adopting κ and hierarchies —
-//! no re-peel), then replay the WAL tail through `Engine::update`'s
-//! incremental refresh. Nothing is re-decomposed unless there is no
-//! checkpoint at all.
+//! Recovery ([`Durability::open`]) loads the snapshot (adopting κ and the
+//! hierarchies — spaces are re-materialized, nothing is decomposed), then
+//! **folds** the verified WAL tail into one net batch and applies it as a
+//! single engine update: one splice, one peel and one forest repair per
+//! space however long the tail is, because no reader can observe the
+//! states in between. The fold keeps the last operation per canonical
+//! edge (within a record removals precede insertions, exactly as
+//! `apply_edge_batch` orders them), so the result is the edge set
+//! `(S \ R) ∪ I` applied record by record would reach, and carries the
+//! largest vertex id any insert named so the vertex set grows as it would
+//! have (it never shrinks, even when a later record removes the edge that
+//! grew it). A tail the checkpoint already holds (crash point
+//! `ckpt.rename.after`: snapshot renamed, rotation lost) folds to a batch
+//! that changes nothing, which the engine re-publishes for free. The
+//! [`RecoveryReport`] says where the open's time went: read, fold, apply,
+//! checkpoint.
 
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Write};
@@ -38,7 +49,9 @@ use hdsd_graph::VertexId;
 use hdsd_nucleus::{read_snapshot, write_snapshot, LocalConfig, Snapshot};
 
 use crate::engine::Engine;
-use crate::wal::{read_wal, FailPoints, FsyncPolicy, WalStats, WalWriter};
+use crate::wal::{read_wal, FailPoints, FsyncPolicy, WalRecord, WalStats, WalWriter};
+
+type Edge = (VertexId, VertexId);
 
 /// Snapshot filename inside the durability directory.
 pub const SNAPSHOT_FILE: &str = "engine.snap";
@@ -109,19 +122,71 @@ pub struct DurableConfig {
 /// What [`Durability::open`] did to bring the engine up.
 #[derive(Clone, Debug)]
 pub struct RecoveryReport {
-    /// A checkpoint was found and loaded (κ adopted, nothing re-peeled).
+    /// A checkpoint was found and loaded (κ and hierarchies adopted).
     pub snapshot_loaded: bool,
     /// The engine was built from scratch (fresh directory only — a
     /// corrupt snapshot is a loud error, never a silent cold start).
     pub cold_start: bool,
-    /// WAL records replayed through the warm update path.
+    /// WAL records replayed (folded into the one update of `apply_us`).
     pub replayed: u64,
     /// Torn bytes dropped from the WAL tail (crash evidence).
     pub torn_bytes: u64,
     /// WAL generation now being written.
     pub generation: u64,
-    /// Wall time of the whole open (load + replay + fresh checkpoint).
+    /// Wall time of the whole open; the four stages below partition it.
     pub wall_us: u64,
+    /// Bringing the base state up: snapshot read + space
+    /// re-materialization (or the cold build), then reading and verifying
+    /// the WAL.
+    pub read_us: u64,
+    /// Folding the WAL tail into one net batch.
+    pub fold_us: u64,
+    /// The single engine update that applies the folded tail (no update
+    /// runs when the tail is empty).
+    pub apply_us: u64,
+    /// The fresh checkpoint plus the new WAL generation's creation.
+    pub checkpoint_us: u64,
+}
+
+/// Folds a WAL tail into one net `(insert, remove)` batch whose single
+/// application leaves the engine where record-by-record replay would: the
+/// last operation per canonical edge wins (a record removes, then inserts),
+/// and when no surviving insert names the largest vertex id the tail's
+/// inserts mentioned, a self-loop on it is added — `apply_edge_batch` drops
+/// the loop but grows the vertex set to cover it. The result may break the
+/// protocol's per-batch rules (`validate_batch`); it goes straight to the
+/// engine, below them.
+fn fold_tail(records: &[WalRecord]) -> (Vec<Edge>, Vec<Edge>) {
+    let canonical = |&(u, v): &Edge| (u.min(v), u.max(v));
+    // One (edge, present-afterwards) entry per logged edge, in log order.
+    let mut ops: Vec<(Edge, bool)> = Vec::new();
+    let mut vertex_floor: Option<VertexId> = None;
+    for rec in records {
+        ops.extend(rec.remove.iter().map(|e| (canonical(e), false)));
+        for e in &rec.insert {
+            vertex_floor = vertex_floor.max(Some(e.0.max(e.1)));
+            if e.0 != e.1 {
+                ops.push((canonical(e), true));
+            }
+        }
+    }
+    // The sort is stable, so an edge's entries stay in log order.
+    ops.sort_by_key(|&(e, _)| e);
+    let (mut insert, mut remove) = (Vec::new(), Vec::new());
+    for (i, &(e, present)) in ops.iter().enumerate() {
+        let last = ops.get(i + 1).is_none_or(|&(next, _)| next != e);
+        match (last, present) {
+            (true, true) => insert.push(e),
+            (true, false) => remove.push(e),
+            (false, _) => {}
+        }
+    }
+    if let Some(v) = vertex_floor {
+        if !insert.iter().any(|&(_, hi)| hi == v) {
+            insert.push((v, v));
+        }
+    }
+    (insert, remove)
 }
 
 /// The durable state a serving process owns: the WAL writer plus the
@@ -155,10 +220,10 @@ impl Durability {
     /// Opens (or initializes) a durability directory and returns the
     /// recovered engine:
     ///
-    /// * snapshot present → load it (warm: κ and hierarchies adopted),
-    ///   replay the WAL tail through [`Engine::update`], then take a
-    ///   fresh checkpoint and rotate the WAL so the next crash replays
-    ///   only its own tail;
+    /// * snapshot present → load it (κ and hierarchies adopted), fold the
+    ///   WAL tail into one net batch and apply it as a single
+    ///   [`Engine::update_folded`], then take a fresh checkpoint and
+    ///   rotate the WAL so the next crash replays only its own tail;
     /// * empty directory → build a fresh engine via `fresh`, seed the
     ///   first checkpoint, start generation 1;
     /// * WAL without snapshot, or a corrupt/torn snapshot → a loud
@@ -187,7 +252,14 @@ impl Durability {
             torn_bytes: 0,
             generation: 1,
             wall_us: 0,
+            read_us: 0,
+            fold_us: 0,
+            apply_us: 0,
+            checkpoint_us: 0,
         };
+        // Stage boundaries are cumulative micros since `start`, so the four
+        // stage times partition `wall_us` exactly.
+        let lap = || start.elapsed().as_micros() as u64;
 
         let mut engine = if have_snap {
             let file = File::open(&snap_path)
@@ -208,23 +280,31 @@ impl Durability {
             fresh()?
         };
 
-        if have_snap && have_wal {
-            hdsd_telemetry::span!("recover.replay");
+        let records = if have_snap && have_wal {
             let contents = read_wal(&wal_path)
                 .map_err(|e| format!("recovery: WAL {}: {e}", wal_path.display()))?;
             report.torn_bytes = contents.torn_bytes;
-            // The warm replay path: each record runs the same incremental
-            // refresh a live request would — no re-decomposition. Records
-            // the engine already absorbed (checkpoint renamed, rotation
-            // lost) re-apply as no-ops.
-            for rec in &contents.records {
-                engine.update(&rec.insert, &rec.remove);
-                report.replayed += 1;
-            }
             report.generation = contents.generation;
-        }
+            contents.records
+        } else {
+            Vec::new()
+        };
+        let t_read = lap();
 
-        // Fold the replayed tail (or the fresh engine) into a checkpoint
+        // One update for the whole tail: the same splice + peel + repair a
+        // live request runs, once. Records the snapshot already holds
+        // (checkpoint renamed, rotation lost) fold to a batch that changes
+        // nothing.
+        report.replayed = records.len() as u64;
+        let (insert, remove) = fold_tail(&records);
+        let t_fold = lap();
+        if !records.is_empty() {
+            hdsd_telemetry::span!("recover.replay");
+            engine.update_folded(&insert, &remove, report.replayed);
+        }
+        let t_apply = lap();
+
+        // Put the recovered state (or the fresh engine) into a checkpoint
         // and start a clean generation: bounds double-replay after the
         // next crash and verifies the directory is writable up front.
         write_snapshot_atomic(&engine.to_snapshot(), &snap_path, &cfg.failpoints)
@@ -233,12 +313,20 @@ impl Durability {
         let wal =
             WalWriter::create(&wal_path, report.generation, cfg.policy, cfg.failpoints.clone())
                 .map_err(|e| format!("recovery: WAL {}: {e}", wal_path.display()))?;
-        report.wall_us = start.elapsed().as_micros() as u64;
+        report.wall_us = lap();
+        report.read_us = t_read;
+        report.fold_us = t_fold - t_read;
+        report.apply_us = t_apply - t_fold;
+        report.checkpoint_us = report.wall_us - t_apply;
 
         let reg = hdsd_telemetry::Registry::global();
         reg.gauge("recovery_replayed_records").set(report.replayed);
         reg.gauge("recovery_torn_bytes").set(report.torn_bytes);
         reg.gauge("recovery_wall_micros").set(report.wall_us);
+        reg.gauge("recovery_read_micros").set(report.read_us);
+        reg.gauge("recovery_fold_micros").set(report.fold_us);
+        reg.gauge("recovery_apply_micros").set(report.apply_us);
+        reg.gauge("recovery_checkpoint_micros").set(report.checkpoint_us);
 
         let dur = Durability {
             dir: cfg.dir,
@@ -388,6 +476,31 @@ mod tests {
         .unwrap();
         assert_eq!(rep3.replayed, 0);
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fold_keeps_the_last_operation_per_edge_and_the_vertex_floor() {
+        let rec = |seq, insert: &[Edge], remove: &[Edge]| WalRecord {
+            seq,
+            insert: insert.to_vec(),
+            remove: remove.to_vec(),
+        };
+        assert_eq!(fold_tail(&[]), (vec![], vec![]));
+        // Within a record removals come first, so (2,3) ends up present;
+        // (4,0) is logged reversed and removed by a later record; (0,9)
+        // grew the vertex set and is gone again, so a loop on 9 carries the
+        // floor; (7,7) is a self-loop below the floor and is dropped.
+        let tail = [
+            rec(1, &[(2, 3), (4, 0), (0, 9)], &[(3, 2)]),
+            rec(2, &[(7, 7), (1, 5)], &[(0, 4)]),
+            rec(3, &[], &[(9, 0), (6, 8)]),
+        ];
+        let (insert, remove) = fold_tail(&tail);
+        assert_eq!(insert, vec![(1, 5), (2, 3), (9, 9)]);
+        assert_eq!(remove, vec![(0, 4), (0, 9), (6, 8)]);
+        // A surviving insert that names the floor vertex needs no loop.
+        let (insert, _) = fold_tail(&[rec(1, &[(0, 9), (1, 2)], &[])]);
+        assert_eq!(insert, vec![(0, 9), (1, 2)]);
     }
 
     #[test]

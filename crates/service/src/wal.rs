@@ -26,7 +26,10 @@
 //! never shrinks, so replaying a suffix of batches the engine already
 //! absorbed converges to the same state. That property is what makes the
 //! crash window between "checkpoint renamed into place" and "WAL
-//! truncated" safe — recovery may replay those batches twice.
+//! truncated" safe — recovery may see those batches twice. (Recovery
+//! folds the tail into one net batch first, last operation per edge; over
+//! a state that already absorbed the tail that batch changes nothing, and
+//! the engine re-publishes its current epoch for it.)
 //!
 //! **Ordering against epoch publication** (see [`crate::epoch`]): the
 //! append happens on the writer lane *before* the next

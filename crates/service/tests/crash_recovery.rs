@@ -23,14 +23,12 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use hdsd_graph::CsrGraph;
 use hdsd_nucleus::{assert_forest_eq, peel, CoreSpace, LocalConfig, Nucleus34Space, TrussSpace};
-use hdsd_service::{
-    is_injected_crash, Durability, DurableConfig, Engine, EngineConfig, FailPoints, FsyncPolicy,
-    SpaceSel,
-};
-use proptest::splitmix64 as splitmix;
+use hdsd_service::{is_injected_crash, Durability, Engine, FailPoints, SpaceSel};
 use proptest::test_runner::Config;
+
+mod common;
+use common::{durable_cfg, engine_of, random_stream, Stream, SPACES};
 
 /// Every named crash point in the WAL + checkpoint pipeline, in pipeline
 /// order. Keep in sync with `wal.rs` / `recovery.rs`.
@@ -46,61 +44,8 @@ const CRASH_POINTS: &[&str] = &[
     "wal.rotate",
 ];
 
-const SPACES: &[SpaceSel] = &[SpaceSel::Core, SpaceSel::Truss, SpaceSel::Nucleus34];
-
-type Edge = (u32, u32);
-
-struct Stream {
-    base: CsrGraph,
-    batches: Vec<(Vec<Edge>, Vec<Edge>)>,
-}
-
-/// A small random graph plus a stream of random edge batches. Ids may
-/// exceed the current vertex count slightly (growth), removals may miss
-/// (no-ops) — the engine-level semantics the WAL must reproduce exactly.
-fn random_stream(seed: u64) -> Stream {
-    let mut rng = seed ^ 0x9E37_79B9_7F4A_7C15;
-    let n = 22 + (splitmix(&mut rng) % 8) as u32;
-    let base = hdsd_datasets::holme_kim(n, 2, 0.4, splitmix(&mut rng));
-    let id_cap = n as u64 + 4;
-    let n_batches = 4 + (splitmix(&mut rng) % 3) as usize;
-    let mut batches = Vec::with_capacity(n_batches);
-    for _ in 0..n_batches {
-        let mut insert: Vec<Edge> = Vec::new();
-        for _ in 0..(1 + splitmix(&mut rng) % 3) {
-            let u = (splitmix(&mut rng) % id_cap) as u32;
-            let v = (splitmix(&mut rng) % id_cap) as u32;
-            let e = (u.min(v), u.max(v));
-            if u != v && !insert.contains(&e) {
-                insert.push(e);
-            }
-        }
-        let mut remove: Vec<Edge> = Vec::new();
-        if splitmix(&mut rng).is_multiple_of(2) {
-            let u = (splitmix(&mut rng) % id_cap) as u32;
-            let v = (splitmix(&mut rng) % id_cap) as u32;
-            if u != v && !insert.contains(&(u.min(v), u.max(v))) {
-                remove.push((u.min(v), u.max(v)));
-            }
-        }
-        if insert.is_empty() && remove.is_empty() {
-            insert.push((0, 1 + (splitmix(&mut rng) % (id_cap - 1)) as u32));
-        }
-        batches.push((insert, remove));
-    }
-    Stream { base, batches }
-}
-
-fn engine_of(graph: CsrGraph) -> Engine {
-    Engine::new(graph, &EngineConfig { spaces: SPACES.to_vec(), local: LocalConfig::sequential() })
-}
-
 fn tmpdir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("hdsd_crashrec_{}_{tag}", std::process::id()))
-}
-
-fn durable_cfg(dir: &std::path::Path, failpoints: FailPoints) -> DurableConfig {
-    DurableConfig { dir: dir.to_path_buf(), policy: FsyncPolicy::Always, failpoints }
 }
 
 /// Arms exactly one firing of `point`.

@@ -102,7 +102,9 @@ fn scripted_session_over_stdin() {
     let refreshes = v.get("spaces").unwrap().as_array().unwrap();
     assert_eq!(refreshes.len(), 3);
     for r in refreshes {
-        assert!(r.get("sweeps").unwrap().as_u64().unwrap() >= 1);
+        // Every clique of the space is peeled; (0,4) and (1,4) touch some.
+        assert!(r.get("processed").unwrap().as_u64().unwrap() >= 6);
+        assert!(r.get("awake").unwrap().as_u64().unwrap() >= 1);
     }
     let v = s.ok(r#"{"op":"kappa","space":"core","id":4}"#);
     assert_eq!(v.get("kappa").unwrap().as_u64(), Some(4));

@@ -77,7 +77,7 @@ assert_line 6 '"total":2' "two separate (3,4) nuclei (paper Fig. 3)"
 assert_line 7 '"removed":1' "edge removal applied"
 assert_line 8 '"kappa":0' "tail vertex left every core"
 assert_line 9 '"inserted":2' "K5-closing insertions applied"
-assert_line 10 '"kappa":4' "warm refresh found the new 4-core"
+assert_line 10 '"kappa":4' "the refresh found the new 4-core"
 assert_line 11 '"requests_total"' "metrics op returns the registry"
 assert_line 11 'request_micros{op=' "metrics op has per-op histograms"
 assert_line 9 '"trace":' "slow threshold 0 attaches the span tree to the update"

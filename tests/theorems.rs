@@ -122,9 +122,8 @@ proptest! {
         g in arb_graph(),
         bumps in proptest::collection::vec(0u32..6, 20),
     ) {
-        // The warm-start property behind incremental maintenance: And
-        // started from any pointwise upper bound τ_init ≥ κ converges to
-        // exactly κ.
+        // The resume property of `AndOptions::tau_init`: And started from
+        // any pointwise upper bound τ_init ≥ κ converges to exactly κ.
         fn resume<S: CliqueSpace>(sp: &S, order: &Order, tau_init: Vec<u32>) -> ConvergenceResult {
             let opts = AndOptions { tau_init: Some(tau_init), ..AndOptions::default() };
             and_opts(sp, &LocalConfig::default(), order, opts).expect("an unarmed token never cancels")
