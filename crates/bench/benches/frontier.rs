@@ -8,9 +8,9 @@
 //!   recomputation counts come from `SchedulerStats`, so the numbers are
 //!   exact, not sampled;
 //! * **memory layout**: flat container cache vs the callback walk;
-//! * **parallel drain**: the barrier-free continuous frontier drain vs a
-//!   barriered parallel flag scan (dynamic chunk hand-out) — the ablation
-//!   showing what removing the per-sweep barrier buys.
+//! * **parallel**: the chunked flag scan with dynamic hand-out (with more
+//!   than one thread `Frontier` and `FlagScan` are the same run, so one
+//!   row stands for both).
 //!
 //! Everything is written to `BENCH_frontier.json` at the workspace root
 //! (one self-contained JSON document, no dependencies) so the perf
@@ -83,17 +83,10 @@ fn run_one<S: CliqueSpace>(
         mode: mode_name(mode),
         cache: if cache_active { "flat" } else { "walk" },
         threads,
-        policy: if threads <= 1 {
-            "sequential"
-        } else if mode == SweepMode::Frontier {
-            // The parallel frontier is the barrier-free continuous drain;
-            // chunk hand-out policy does not apply to it.
-            "drain"
-        } else {
-            match policy {
-                Policy::Dynamic => "dynamic",
-                Policy::Static => "static",
-            }
+        policy: match policy {
+            _ if threads <= 1 => "sequential",
+            Policy::Dynamic => "dynamic",
+            Policy::Static => "static",
         },
         sweeps: r.sweeps,
         converged: r.converged,
@@ -113,11 +106,9 @@ fn bench_space<S: CliqueSpace>(space: &S, records: &mut Vec<RunRecord>) {
     }
     // Cache ablation (frontier, sequential, no cache).
     records.push(run_one(space, &exact, SweepMode::Frontier, false, 1, Policy::Dynamic));
-    // Parallel: the barrier-free continuous drain vs the barriered flag
-    // scan with dynamic hand-out (the what-does-the-barrier-cost ablation).
+    // Parallel: the chunked flag scan, dynamic hand-out.
     let threads = hdsd_parallel::default_threads().clamp(2, 8);
     records.push(run_one(space, &exact, SweepMode::Frontier, true, threads, Policy::Dynamic));
-    records.push(run_one(space, &exact, SweepMode::FlagScan, true, threads, Policy::Dynamic));
 }
 
 fn json_escape(s: &str) -> String {
@@ -179,6 +170,7 @@ fn main() {
     // Emit the JSON document.
     let mut out = String::new();
     out.push_str("{\n");
+    out.push_str(&hdsd_bench::stamp_json(quick));
     let _ = writeln!(out, "  \"bench\": \"frontier\",");
     let _ = writeln!(
         out,

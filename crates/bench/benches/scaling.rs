@@ -1,12 +1,13 @@
-//! Figure 1b in microbenchmark form: thread sweep for parallel And and the
-//! partially parallel peeling baseline. On a single-core host the curves
-//! are flat — the sweep is still exercised for correctness and to produce
-//! honest numbers on whatever hardware runs it.
+//! Figure 1b in microbenchmark form: thread sweep for parallel And against
+//! the sequential peel. (The paper's reference line is a partially parallel
+//! peel; this repo carries none, so the baseline here is sequential
+//! peeling.) On a single-core host the And curve is flat — the sweep is
+//! still exercised for correctness and to produce honest numbers on
+//! whatever hardware runs it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdsd_datasets::Dataset;
-use hdsd_nucleus::{and, peel_parallel, LocalConfig, Order, TrussSpace};
-use hdsd_parallel::ParallelConfig;
+use hdsd_nucleus::{and, peel, LocalConfig, Order, TrussSpace};
 
 fn bench_thread_sweep(c: &mut Criterion) {
     let g = Dataset::Fb.generate(0.25);
@@ -21,12 +22,10 @@ fn bench_thread_sweep(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("truss_thread_sweep_fb_quarter");
     group.sample_size(10);
+    group.bench_function("peel", |b| b.iter(|| peel(&sp)));
     for &t in &sweep {
         group.bench_with_input(BenchmarkId::new("and", t), &t, |b, &threads| {
             b.iter(|| and(&sp, &LocalConfig::with_threads(threads), &Order::Natural))
-        });
-        group.bench_with_input(BenchmarkId::new("peel_parallel", t), &t, |b, &threads| {
-            b.iter(|| peel_parallel(&sp, ParallelConfig::with_threads(threads)))
         });
     }
     group.finish();

@@ -257,17 +257,7 @@ fn main() {
     // ── emit the JSON artifact ────────────────────────────────────────
     let mut out = String::new();
     out.push_str("{\n");
-    let git = std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--abbrev=7"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map_or("unknown".to_string(), |o| String::from_utf8_lossy(&o.stdout).trim().to_string());
-    let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let _ = writeln!(
-        out,
-        "  \"stamp\": {{\"git\": \"{git}\", \"nproc\": {nproc}, \"quick\": {quick}}},"
-    );
+    out.push_str(&hdsd_bench::stamp_json(quick));
     let _ = writeln!(
         out,
         "  \"graph\": {{\"generator\": \"thin(holme_kim)\", \"n\": {n}, \"m_attach\": {m_attach}, \

@@ -72,6 +72,19 @@ impl Env {
     }
 }
 
+/// The `"stamp"` member every bench artifact opens with: the commit the
+/// numbers were measured on, the cores they had, and the run size.
+pub fn stamp_json(quick: bool) -> String {
+    let git = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=7"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map_or("unknown".to_string(), |o| String::from_utf8_lossy(&o.stdout).trim().to_string());
+    let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
+    format!("  \"stamp\": {{\"git\": \"{git}\", \"nproc\": {nproc}, \"quick\": {quick}}},\n")
+}
+
 /// Runs `f` once, returning its result and wall time.
 pub fn time<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     let start = Instant::now();

@@ -6,10 +6,8 @@
 //! cheap [`CancelToken::check`] call that kernels invoke at their natural
 //! chunk boundaries:
 //!
-//! - the sequential peel checks every [`crate::peel::PEEL_CANCEL_CHUNK`]
-//!   items, the parallel drain at every chunk claim;
-//! - the And frontier checks once per sweep (sequential) and per worker
-//!   pop batch (parallel);
+//! - the peel checks every [`crate::peel::PEEL_CANCEL_CHUNK`] items;
+//! - And checks once per sweep, sequential and parallel alike;
 //! - hierarchy materialization checks per union–find threshold batch.
 //!
 //! The overshoot past a tripped token is therefore bounded by one chunk

@@ -9,7 +9,10 @@ pub enum SweepMode {
     /// Frontier scheduling: an explicit dedup-on-insert worklist of awake
     /// r-cliques; per-iteration cost is `O(frontier)`, not `O(n)`. The
     /// default — this is what makes late, nearly-converged iterations
-    /// cheap.
+    /// cheap. The worklist is the sequential representation: with more
+    /// than one thread the awake set is the §4.2.1 flag bitmap scanned in
+    /// [`ParallelConfig::chunk`]-sized dynamic chunks, i.e. exactly what
+    /// [`SweepMode::FlagScan`] runs in parallel.
     #[default]
     Frontier,
     /// The paper's literal §4.2.1 formulation: scan the full permutation

@@ -26,28 +26,20 @@ use std::marker::PhantomData;
 use hdsd_graph::{CsrDelta, CsrGraph, GraphBuilder, TriangleList, VertexId};
 
 use crate::cancel::{CancelToken, Cancelled};
-use crate::convergence::LocalConfig;
 use crate::delta::SpaceDelta;
-use crate::peel::{PeelEngine, PeelOptions, PeelResult};
+use crate::peel::{PeelEngine, PeelResult};
 use crate::space::{CachedSpace, CliqueSpace, CoreSpace, Nucleus34Space, TrussSpace};
 
 /// The κ refresh of the update path, shared by [`Incremental`] and the
-/// `hdsd-service` engine: an exact peel of the already-spliced resident
-/// rows with `cfg.parallel` threads (one thread is the sequential bucket
-/// queue; more run the barrier-free drain — κ is bit-identical either
-/// way).
+/// `hdsd-service` engine: an exact bucket-queue peel of the
+/// already-spliced resident rows ([`PeelEngine::peel_under`]).
 ///
 /// `cancel` is probed as the peel's `"peel drain"` stage, every
 /// [`crate::PEEL_CANCEL_CHUNK`] items. On `Err` nothing has been
 /// published; callers keep serving the stale decomposition.
-pub fn refresh_kappa(
-    spliced: &CachedSpace,
-    cfg: &LocalConfig,
-    cancel: &CancelToken,
-) -> Result<PeelResult, Cancelled> {
+pub fn refresh_kappa(spliced: &CachedSpace, cancel: &CancelToken) -> Result<PeelResult, Cancelled> {
     hdsd_telemetry::span!("refresh.peel");
-    let opts = PeelOptions { cancel: cancel.clone(), ..PeelOptions::new(cfg.parallel) };
-    PeelEngine::new().peel_opts(spliced.flat(), &opts).map_err(|p| p.cancelled)
+    PeelEngine::new().peel_under(spliced.flat(), cancel).map_err(|p| p.cancelled)
 }
 
 /// Applies a batch of insertions and removals to `graph`, returning the new
@@ -222,7 +214,6 @@ pub struct Incremental<K: SpaceKind> {
     substrate: K::Substrate,
     cached: CachedSpace,
     kappa: Vec<u32>,
-    cfg: LocalConfig,
     _kind: PhantomData<K>,
 }
 
@@ -232,18 +223,13 @@ pub type IncrementalCore = Incremental<CoreKind>;
 impl<K: SpaceKind> Incremental<K> {
     /// Builds the initial decomposition (a full peel).
     pub fn new(graph: CsrGraph) -> Self {
-        Self::with_config(graph, LocalConfig::sequential())
-    }
-
-    /// Builds the initial decomposition with a custom refresh config.
-    pub fn with_config(graph: CsrGraph, cfg: LocalConfig) -> Self {
         let substrate = K::init_substrate(&graph);
         let cached = K::build_cached(&graph, &substrate);
         // The same peel every later batch runs over its spliced rows.
-        let kappa = refresh_kappa(&cached, &cfg, &CancelToken::none())
+        let kappa = refresh_kappa(&cached, &CancelToken::none())
             .expect("an unarmed token never cancels")
             .kappa;
-        Incremental { graph, substrate, cached, kappa, cfg, _kind: PhantomData }
+        Incremental { graph, substrate, cached, kappa, _kind: PhantomData }
     }
 
     /// Current graph.
@@ -312,7 +298,7 @@ impl<K: SpaceKind> Incremental<K> {
             };
         }
         let sd = K::apply_delta(&mut self.substrate, &self.cached, &self.graph, &new_graph, &ed);
-        let peeled = refresh_kappa(&sd.cached, &self.cfg, &CancelToken::none())
+        let peeled = refresh_kappa(&sd.cached, &CancelToken::none())
             .expect("an unarmed token never cancels");
         self.graph = new_graph;
         self.cached = sd.cached;

@@ -80,8 +80,8 @@ pub use incremental::{
 };
 pub use levels::{degree_levels, DegreeLevels};
 pub use peel::{
-    peel, peel_flat, peel_parallel, peel_walk, DrainStats, PeelCancelled, PeelEngine, PeelOptions,
-    PeelResult, PeelStats, PEEL_CANCEL_CHUNK,
+    peel, peel_flat, peel_parallel, peel_walk, DrainStats, PeelCancelled, PeelEngine, PeelResult,
+    PeelStats, PEEL_CANCEL_CHUNK,
 };
 pub use query::{
     estimate_core_numbers, estimate_truss_numbers, local_estimate, local_estimate_opts,

@@ -18,8 +18,6 @@
 //! example, is *already* a CSR adjacency and would gain nothing from a
 //! copy.
 
-use std::sync::OnceLock;
-
 use super::CliqueSpace;
 
 /// CSR snapshot of a clique space's containers.
@@ -28,32 +26,13 @@ use super::CliqueSpace;
 /// `others[(offsets[i] + c) * group .. (offsets[i] + c + 1) * group]`, where
 /// `group = binom(s, r) − 1` is the per-container other-member count (1 for
 /// cores, 2 for trusses, 3 for the (3,4) nucleus).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct FlatContainers {
     group: usize,
     /// Per-clique container-count prefix sums (container units, length n+1).
     offsets: Vec<usize>,
     /// Packed other-member ids, `group` per container.
     others: Vec<u32>,
-    /// Lazily derived canonical container ids (see
-    /// [`FlatContainers::container_keys`]); never cloned warm across
-    /// `splice`, which builds a fresh struct — ids are row-positional and
-    /// would be stale after any row motion.
-    keys: OnceLock<Vec<u32>>,
-}
-
-impl Clone for FlatContainers {
-    fn clone(&self) -> Self {
-        FlatContainers {
-            group: self.group,
-            offsets: self.offsets.clone(),
-            others: self.others.clone(),
-            keys: match self.keys.get() {
-                Some(k) => OnceLock::from(k.clone()),
-                None => OnceLock::new(),
-            },
-        }
-    }
 }
 
 impl FlatContainers {
@@ -84,7 +63,7 @@ impl FlatContainers {
             // sweep over the cache would return wrong κ values.
             assert_eq!(at, offsets[i + 1] * group, "degree() disagrees with container walk at {i}");
         }
-        FlatContainers { group, offsets, others, keys: OnceLock::new() }
+        FlatContainers { group, offsets, others }
     }
 
     /// Builds the cache only when its estimated footprint fits `budget`
@@ -210,79 +189,7 @@ impl FlatContainers {
                 dst.copy_from_slice(&patch_data[src..src + units as usize * group]);
             }
         }
-        FlatContainers { group: self.group, offsets, others, keys: OnceLock::new() }
-    }
-
-    /// Unit-index range of r-clique `i`'s containers (unit = one container
-    /// slot; multiply by `group` for the `others` element range).
-    #[inline]
-    pub fn container_units(&self, i: usize) -> std::ops::Range<usize> {
-        self.offsets[i]..self.offsets[i + 1]
-    }
-
-    /// Total container units across all rows (`Σ d_S`). Each physical
-    /// container contributes `group + 1` units — one per member row.
-    #[inline]
-    pub fn num_container_units(&self) -> usize {
-        *self.offsets.last().expect("offsets never empty")
-    }
-
-    /// Canonical container ids, one per unit, lazily derived and cached.
-    ///
-    /// Every physical s-clique container appears once in each member's row
-    /// (`group + 1` units total); `container_keys()[u]` maps unit `u` to
-    /// the unit index of the *same* container in its **minimum member's**
-    /// row. All `group + 1` aliases of a container therefore agree on one
-    /// key, giving the barrier-free parallel peel a dense identity to CAS
-    /// on for exactly-once container kills — the `CliqueSpace` walk API
-    /// never exposes container ids, so they are reconstructed here from
-    /// the row geometry alone.
-    pub fn container_keys(&self) -> &[u32] {
-        self.keys.get_or_init(|| self.compute_keys())
-    }
-
-    fn compute_keys(&self) -> Vec<u32> {
-        let n = self.num_cliques();
-        let group = self.group.max(1);
-        let total = self.num_container_units();
-        assert!(total < u32::MAX as usize, "container unit space exceeds u32 keys");
-        let mut keys = vec![u32::MAX; total];
-        let mut target: Vec<u32> = Vec::with_capacity(group);
-        let mut cand: Vec<u32> = Vec::with_capacity(group);
-        for i in 0..n {
-            let iu = i as u32;
-            let base = self.offsets[i];
-            for (c, chunk) in self.containers(i).chunks_exact(group).enumerate() {
-                let unit = base + c;
-                let m = chunk.iter().copied().min().unwrap_or(iu).min(iu);
-                if m == iu {
-                    // `i` is the minimum member: this unit is the canon.
-                    keys[unit] = unit as u32;
-                    continue;
-                }
-                // The canonical alias lives in m's row: the container whose
-                // member set is (chunk \ {m}) ∪ {i}. Distinct s-cliques have
-                // distinct member sets, so the first match is the match.
-                target.clear();
-                target.extend(chunk.iter().copied().filter(|&o| o != m));
-                target.push(iu);
-                target.sort_unstable();
-                let mbase = self.offsets[m as usize];
-                let mut found = u32::MAX;
-                for (mc, mchunk) in self.containers(m as usize).chunks_exact(group).enumerate() {
-                    cand.clear();
-                    cand.extend_from_slice(mchunk);
-                    cand.sort_unstable();
-                    if cand == target {
-                        found = (mbase + mc) as u32;
-                        break;
-                    }
-                }
-                assert_ne!(found, u32::MAX, "container of {i} missing from min member {m}'s row");
-                keys[unit] = found;
-            }
-        }
-        keys
+        FlatContainers { group: self.group, offsets, others }
     }
 }
 
@@ -377,63 +284,6 @@ mod tests {
         // The core space opts out regardless of budget: it is already CSR.
         let core = CoreSpace::new(&g);
         assert!(FlatContainers::build_within(&core, usize::MAX).is_none());
-    }
-
-    fn assert_keys_canonical<S: CliqueSpace>(space: &S) {
-        let flat = FlatContainers::build(space);
-        let group = flat.group().max(1);
-        let keys = flat.container_keys();
-        assert_eq!(keys.len(), flat.num_container_units());
-        // Brute force: identify each unit's physical container by its full
-        // member set (owner row + others) and demand that key equality is
-        // exactly member-set equality.
-        use std::collections::HashMap;
-        let mut by_set: HashMap<Vec<u32>, Vec<usize>> = HashMap::new();
-        for i in 0..flat.num_cliques() {
-            for (c, chunk) in flat.containers(i).chunks_exact(group).enumerate() {
-                let unit = flat.container_units(i).start + c;
-                let mut set: Vec<u32> = chunk.to_vec();
-                set.push(i as u32);
-                set.sort_unstable();
-                by_set.entry(set).or_default().push(unit);
-            }
-        }
-        for (set, units) in &by_set {
-            assert_eq!(units.len(), group + 1, "container {set:?} must have group+1 aliases");
-            let canon = keys[units[0]];
-            assert!(
-                units.iter().all(|&u| keys[u] == canon),
-                "aliases of {set:?} disagree on the canonical key"
-            );
-            assert!(
-                units.contains(&(canon as usize)),
-                "canonical key of {set:?} must be one of its own aliases"
-            );
-        }
-        // Distinct containers get distinct keys.
-        let mut all: Vec<u32> = by_set.values().map(|u| keys[u[0]]).collect();
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len(), by_set.len());
-    }
-
-    #[test]
-    fn container_keys_are_canonical_on_all_spaces() {
-        let g = two_k4s();
-        assert_keys_canonical(&CoreSpace::new(&g));
-        assert_keys_canonical(&TrussSpace::precomputed(&g));
-        assert_keys_canonical(&Nucleus34Space::precomputed(&g));
-        assert_keys_canonical(&Vertex13Space::new(&g));
-    }
-
-    #[test]
-    fn container_keys_survive_clone_but_not_splice() {
-        let g = two_k4s();
-        let sp = TrussSpace::precomputed(&g);
-        let flat = FlatContainers::build(&sp);
-        let keys: Vec<u32> = flat.container_keys().to_vec();
-        let cloned = flat.clone();
-        assert_eq!(cloned.container_keys(), &keys[..]);
     }
 
     #[test]

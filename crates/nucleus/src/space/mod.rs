@@ -27,7 +27,7 @@ pub use core12::CoreSpace;
 pub use flat::{others_per_container, FlatContainers};
 pub use generic::GenericSpace;
 pub use nucleus34::Nucleus34Space;
-pub(crate) use rows::{resolve_rows, resolve_rows_or_build};
+pub(crate) use rows::resolve_rows;
 pub use truss23::TrussSpace;
 pub use vertex13::Vertex13Space;
 

@@ -33,16 +33,6 @@ pub(crate) fn resolve_rows<S: CliqueSpace>(
     }
 }
 
-/// [`resolve_rows`] for a kernel with no walk form (the parallel peel
-/// drain claims chunks of rows): when the rule says "walk", the rows are
-/// built regardless of the space's preference and the budget.
-pub(crate) fn resolve_rows_or_build<S: CliqueSpace>(
-    space: &S,
-    budget: usize,
-) -> Cow<'_, FlatContainers> {
-    resolve_rows(space, Some(budget)).unwrap_or_else(|| Cow::Owned(FlatContainers::build(space)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::{CachedSpace, CoreSpace, GenericSpace, TrussSpace};
@@ -64,7 +54,6 @@ mod tests {
                 other => panic!("resident rows must be borrowed, got {other:?}"),
             }
         }
-        assert!(matches!(resolve_rows_or_build(&cached, BUDGET), Cow::Borrowed(_)));
 
         // A space that prefers a cache gets one built within the budget…
         for budget in [BUDGET, need] {
@@ -83,11 +72,5 @@ mod tests {
         assert!(resolve_rows(&cached, None).is_none());
         assert!(resolve_rows(&truss, None).is_none());
         assert!(resolve_rows(&core, None).is_none());
-
-        // The drain has no walk form: it gets rows built regardless.
-        for rows in [resolve_rows_or_build(&core, BUDGET), resolve_rows_or_build(&truss, need - 1)]
-        {
-            assert!(matches!(rows, Cow::Owned(_)));
-        }
     }
 }

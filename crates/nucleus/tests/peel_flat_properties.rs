@@ -3,12 +3,13 @@
 //! dispatching [`peel`]) must be **bit-identical** to the container-walk
 //! baseline [`peel_walk`] — κ, processing order, max κ, and the
 //! deterministic work counters — across every clique space, including the
-//! dynamic-width generic space. The parallel engines must reproduce the
-//! same κ. Runs under the nightly slow-props budget (`PROPTEST_CASES`).
+//! dynamic-width generic space. So must [`PeelEngine::peel_under`] with an
+//! unarmed token, and the frozen [`peel_parallel`] alias in κ and counters.
+//! Runs under the nightly slow-props budget (`PROPTEST_CASES`).
 
 use hdsd_nucleus::{
-    peel, peel_flat, peel_walk, CliqueSpace, CoreSpace, FlatContainers, GenericSpace,
-    Nucleus34Space, PeelEngine, PeelOptions, TrussSpace,
+    peel, peel_flat, peel_parallel, peel_walk, CancelToken, CliqueSpace, CoreSpace, FlatContainers,
+    GenericSpace, Nucleus34Space, PeelEngine, TrussSpace,
 };
 use hdsd_parallel::ParallelConfig;
 use proptest::prelude::*;
@@ -26,8 +27,14 @@ fn check_space<S: CliqueSpace>(space: &S, engine: &mut PeelEngine) {
     let one_shot = peel_flat(&flat);
     let reused = engine.peel(&flat);
     let dispatched = peel(space);
+    let under = engine.peel_under(&flat, &CancelToken::none()).expect("unarmed");
 
-    for (label, r) in [("peel_flat", &one_shot), ("PeelEngine", &reused), ("peel", &dispatched)] {
+    for (label, r) in [
+        ("peel_flat", &one_shot),
+        ("PeelEngine", &reused),
+        ("peel", &dispatched),
+        ("peel_under", &under),
+    ] {
         assert_eq!(r.kappa, walk.kappa, "{}: {label} κ diverged", space.name());
         assert_eq!(r.order, walk.order, "{}: {label} order diverged", space.name());
         assert_eq!(r.max_kappa, walk.max_kappa, "{}: {label} max κ diverged", space.name());
@@ -36,18 +43,19 @@ fn check_space<S: CliqueSpace>(space: &S, engine: &mut PeelEngine) {
     // work counters must match exactly (the CI bench gate pins these).
     assert_eq!(one_shot.stats, walk.stats, "{}: work counters diverged", space.name());
     assert_eq!(reused.stats, walk.stats, "{}: engine counters diverged", space.name());
+    assert_eq!(under.stats, walk.stats, "{}: peel_under counters diverged", space.name());
 
     // Invariants of the result itself.
     let ks: Vec<u32> = walk.order.iter().map(|&i| walk.kappa[i as usize]).collect();
     assert!(ks.windows(2).all(|w| w[0] <= w[1]), "{}: order not κ-sorted", space.name());
     assert_eq!(walk.max_kappa, walk.kappa.iter().copied().max().unwrap_or(0));
 
-    // The barrier-free parallel drain reproduces κ and the closed-form
-    // work counters bit-for-bit.
-    let cfg = ParallelConfig::with_threads(3).chunk(4);
-    let par = engine.peel_opts(&flat, &PeelOptions::new(cfg)).expect("unarmed");
+    // The frozen alias is `peel` whatever thread count it is handed, plus
+    // the one telemetry field `benchmark/` reads.
+    let par = peel_parallel(space, ParallelConfig::with_threads(3));
     assert_eq!(par.kappa, walk.kappa, "{}", space.name());
-    assert_eq!(par.stats, walk.stats, "{}: parallel counters diverged", space.name());
+    assert_eq!(par.stats, walk.stats, "{}: peel_parallel counters diverged", space.name());
+    assert_eq!(par.drain.map(|d| d.epilogue_items), Some(walk.kappa.len() as u64));
 }
 
 proptest! {
@@ -64,7 +72,7 @@ proptest! {
         check_space(&GenericSpace::new(&g, 1, 3), &mut engine);
         // ...and at group = binom(4,2) − 1 = 5, which exceeds every
         // monomorphized arity and exercises the width-at-runtime fallback
-        // (run::<0> / par_flat::<0>).
+        // (run::<0>).
         check_space(&GenericSpace::new(&g, 2, 4), &mut engine);
     }
 

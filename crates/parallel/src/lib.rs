@@ -14,11 +14,7 @@
 
 pub mod scheduling;
 
-pub use scheduling::{
-    parallel_for_chunks, parallel_for_chunks_with, ChunkCursor, ConcurrentWorklist, DrainControl,
-    DrainEvent, DrainHooks, DrainQueue, MpmcRing, PhaseGate, Policy, QuiescenceCounter,
-    ScheduleJitter, SchedulerStats, WorkerControl, WorkerJitter,
-};
+pub use scheduling::{parallel_for_chunks, parallel_for_chunks_with, Policy, SchedulerStats};
 
 use std::sync::atomic::{AtomicU32, Ordering};
 

@@ -13,7 +13,8 @@
 //!   --synthetic SPEC   Holme–Kim generator, e.g. 20000,8,0.5,7
 //!   --demo             tiny fixed graph (two K4s sharing an edge + tail)
 //!   --spaces LIST      resident decompositions    (default core,truss)
-//!   --threads N        refresh sweep threads      (default 1)
+//!   --threads N        accepted and ignored: the κ refresh of an update is
+//!                      a sequential peel (kept for existing command lines)
 //!   --listen ADDR      serve TCP instead of stdin (e.g. 127.0.0.1:7171)
 //!   --readers N        request worker threads for --listen (default 4).
 //!                      Each worker owns an epoch reader; reads from any
@@ -110,7 +111,6 @@ fn run(args: &[String]) -> Result<(), String> {
     let mut synthetic = None;
     let mut demo = false;
     let mut spaces = vec![SpaceSel::Core, SpaceSel::Truss];
-    let mut threads = 1usize;
     let mut listen = None;
     let mut readers = 4usize;
     let mut durable_dir: Option<String> = None;
@@ -143,7 +143,8 @@ fn run(args: &[String]) -> Result<(), String> {
                     .collect::<Result<_, _>>()?;
             }
             "--threads" => {
-                threads = value(&mut i)?.parse().map_err(|e| format!("bad --threads: {e}"))?;
+                let _ignored: usize =
+                    value(&mut i)?.parse().map_err(|e| format!("bad --threads: {e}"))?;
             }
             "--listen" => listen = Some(value(&mut i)?),
             "--readers" => {
@@ -188,9 +189,7 @@ fn run(args: &[String]) -> Result<(), String> {
         i += 1;
     }
 
-    let local =
-        if threads <= 1 { LocalConfig::sequential() } else { LocalConfig::with_threads(threads) };
-    let cfg = EngineConfig { spaces, local };
+    let cfg = EngineConfig { spaces, local: LocalConfig::sequential() };
 
     // Builds the engine from the input flags — the normal startup path,
     // and the seed for an empty durability directory.
@@ -242,7 +241,8 @@ fn run(args: &[String]) -> Result<(), String> {
                 policy: fsync,
                 failpoints: FailPoints::none(),
             };
-            let (engine, dur, rep) = Durability::open(dcfg, local, build_engine)?;
+            let (engine, dur, rep) =
+                Durability::open(dcfg, LocalConfig::sequential(), build_engine)?;
             info!(
                 "serve",
                 "durable in {dir:?} ({})",

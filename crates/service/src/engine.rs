@@ -114,7 +114,8 @@ pub struct EngineConfig {
     /// Decompositions to keep resident. The (3,4) space costs the most to
     /// build; enable it when the workload asks for it.
     pub spaces: Vec<SpaceSel>,
-    /// Sweep configuration for refreshes.
+    /// Unread: the κ refresh is a sequential peel whatever this says. The
+    /// field keeps its spelling for the stand-alone `benchmark/` package.
     pub local: LocalConfig,
 }
 
@@ -724,7 +725,6 @@ impl EngineView {
 /// ```
 pub struct Engine {
     view: Arc<EngineView>,
-    local: LocalConfig,
 }
 
 impl Engine {
@@ -743,7 +743,7 @@ impl Engine {
             .collect();
         let view = EngineView { graph: Arc::new(graph), triangles, spaces, updates_applied: 0 };
         view.publish_gauges();
-        Engine { view: Arc::new(view), local: cfg.local }
+        Engine { view: Arc::new(view) }
     }
 
     /// The current view (epoch) as a shareable handle. The serving layer
@@ -965,7 +965,7 @@ impl Engine {
             let t_refresh = Instant::now();
             let kappa = {
                 span!("update.refresh");
-                refresh_kappa(&sd.cached, &self.local, cancel)?.kappa
+                refresh_kappa(&sd.cached, cancel)?.kappa
             };
             let refresh_us = t_refresh.elapsed().as_micros() as u64;
             // The next epoch inherits a repaired forest iff this epoch has
@@ -1073,8 +1073,8 @@ impl Engine {
     /// Restores an engine from a snapshot: spaces are re-materialized from
     /// the graph (cheap relative to decomposing), κ and hierarchies are
     /// adopted as-is — `Arc`-shared with the snapshot, not copied — after
-    /// a length check.
-    pub fn from_snapshot(snap: Snapshot, local: LocalConfig) -> Result<Engine, String> {
+    /// a length check. `_local` is unread (see [`EngineConfig::local`]).
+    pub fn from_snapshot(snap: Snapshot, _local: LocalConfig) -> Result<Engine, String> {
         let needs_tri = snap.spaces.iter().any(|sp| sp.rs != (1, 2));
         let triangles = needs_tri.then(|| Arc::new(TriangleList::build(&snap.graph)));
         let mut spaces = Vec::with_capacity(snap.spaces.len());
@@ -1121,7 +1121,7 @@ impl Engine {
         }
         let view = EngineView { graph: snap.graph, triangles, spaces, updates_applied: 0 };
         view.publish_gauges();
-        Ok(Engine { view: Arc::new(view), local })
+        Ok(Engine { view: Arc::new(view) })
     }
 
     /// Point-in-time statistics.

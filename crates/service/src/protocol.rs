@@ -77,7 +77,7 @@
 //!
 //! Any read or update op may carry `"deadline_ms": N`. The deadline is
 //! carried as a [`CancelToken`] into the nucleus kernels and checked at
-//! chunk boundaries (peel drain, And frontier sweeps, hierarchy
+//! chunk boundaries (every 1024 items of an update's peel, hierarchy
 //! union-find batches), so work aborts *mid-computation* with bounded
 //! overshoot and answers `deadline exceeded (<stage>)`, naming the stage
 //! that stopped. Estimates degrade gracefully instead (exploration stops,

@@ -61,22 +61,14 @@ def extract_peel(doc):
     """Counters and ratios of the exact-path peeling bench.
 
     Hard failures: any engine disagreeing on the exact decomposition
-    (kappa_identical) or the flat/walk/parallel work counters diverging
+    (kappa_identical) or the flat/walk work counters diverging
     (counters_match) — both are determinism pins the bench itself asserts
-    and re-reports here — plus the barrier-free parallel drain falling
-    below its core-aware speedup floor, min(2.0, 0.5 * cores) over
-    sequential flat (2x at >= 4 cores; proportionally less on smaller
-    runners, and effectively ungated on 1-2 cores where there is no
-    parallelism to measure). Gated metrics: the flat-vs-walk speedup on
-    the container-heavy spaces (core's native layout is already CSR, its
-    near-1 ratio would only gate noise), the capped parallel-requirement
-    ratio (portable across machines, like the concurrent bench), plus the
-    deterministic work counters (containers scanned, bucket moves) as
-    drift floors."""
+    and re-reports here. Gated metrics: the flat-vs-walk speedup on the
+    container-heavy spaces (core's native layout is already CSR, its
+    near-1 ratio would only gate noise), plus the deterministic work
+    counters (containers scanned, bucket moves) as drift floors."""
     hard_failures = []
     metrics = {}
-    cores = float(doc.get("cores", 1))
-    required = min(2.0, 0.5 * cores)
     for row in doc.get("spaces", []):
         space = row.get("space")
         if not row.get("kappa_identical", False):
@@ -85,16 +77,6 @@ def extract_peel(doc):
             hard_failures.append(f"peel {space}: work counters diverged across engines")
         if space != "core":
             metrics[f"peel_speedup_flat_vs_walk[{space}]"] = float(row["speedup_flat_vs_walk"])
-        if "speedup_par_vs_flat" in row:
-            par = float(row["speedup_par_vs_flat"])
-            if par < required:
-                hard_failures.append(
-                    f"peel {space}: parallel drain at {par:.2f}x sequential flat is below the "
-                    f"{required:.2f}x floor for {cores:.0f} cores"
-                )
-            metrics[f"peel_parallel_requirement_met[{space}]"] = min(
-                par / max(required, 1e-9), 1.0
-            )
         # "pin:" metrics are checked two-sided: the counters are
         # graph-determined constants, so drift in EITHER direction (more
         # work or less) is a regression, not just a drop.
@@ -227,12 +209,10 @@ def selftest():
         ],
     }
     peel = {
-        "cores": 8,
         "spaces": [
             {
                 "space": "core",
                 "speedup_flat_vs_walk": 1.1,
-                "speedup_par_vs_flat": 2.6,
                 "containers_scanned": 1000,
                 "bucket_moves": 400,
                 "kappa_identical": True,
@@ -241,7 +221,6 @@ def selftest():
             {
                 "space": "truss",
                 "speedup_flat_vs_walk": 1.8,
-                "speedup_par_vs_flat": 3.1,
                 "containers_scanned": 2000,
                 "bucket_moves": 900,
                 "kappa_identical": True,
@@ -287,18 +266,6 @@ def selftest():
     slow_peel = json.loads(json.dumps(peel))
     slow_peel["spaces"][1]["speedup_flat_vs_walk"] = 1.0
     checks.append(("regressed peel speedup fails", compare("peel", peel, slow_peel, 0.1) != []))
-
-    slow_drain = json.loads(json.dumps(peel))
-    slow_drain["spaces"][1]["speedup_par_vs_flat"] = 1.2  # 8 cores demand min(2.0, 4.0) = 2.0x
-    checks.append(("parallel drain below floor fails", compare("peel", peel, slow_drain, 0.1) != []))
-
-    small_runner = json.loads(json.dumps(peel))
-    small_runner["cores"] = 2  # floor drops to min(2.0, 1.0) = 1.0x
-    for row in small_runner["spaces"]:
-        row["speedup_par_vs_flat"] = 1.05
-    checks.append(
-        ("small-runner drain floor scales down", compare("peel", small_runner, small_runner, 0.1) == [])
-    )
 
     inflated_peel = json.loads(json.dumps(peel))
     inflated_peel["spaces"][1]["bucket_moves"] = 2000  # common-mode work increase

@@ -5,7 +5,9 @@
 //! The property test sweeps random graphs across every clique space; the
 //! regression tests pin the scheduler-telemetry contract on a power-law
 //! graph with a long convergence tail (the workload the frontier exists
-//! for).
+//! for). With more than one thread the awake set is the chunked flag scan
+//! in every notification mode, so the parallel runs are held to exactness
+//! and to the scan identity instead of the worklist contract.
 
 use hdsd::datasets::{erdos_renyi_gnm, holme_kim};
 use hdsd::nucleus::Vertex13Space;
@@ -16,21 +18,40 @@ fn frontier_cfg() -> LocalConfig {
     LocalConfig::default().sweep_mode(SweepMode::Frontier)
 }
 
+/// What every And run owes: the exact κ, a certified fixed point, one
+/// telemetry slot per worker. With more than one thread the run is a
+/// chunked scan whatever the notification mode, so it also owes the scan
+/// identity — each sweep touches all n r-cliques, recomputed or skipped.
+fn assert_and_exact<S: CliqueSpace>(space: &S, exact: &[u32], cfg: &LocalConfig, order: &Order) {
+    let threads = cfg.parallel.threads;
+    let tag = format!("{} {:?} {order:?} threads={threads}", space.name(), cfg.sweep_mode);
+    let r = and(space, cfg, order);
+    assert_eq!(r.tau, exact, "{tag}: diverged from peeling");
+    assert!(r.converged, "{tag}");
+    assert_eq!(r.scheduler.chunks_per_worker.len(), threads, "{tag}");
+    assert_eq!(r.scheduler.items_processed, r.total_processed(), "{tag}");
+    if threads > 1 {
+        assert_eq!(
+            r.scheduler.items_processed + r.scheduler.items_skipped,
+            (space.num_cliques() * r.sweeps) as u64,
+            "{tag}: a chunked scan visits n items per sweep"
+        );
+    }
+}
+
 /// Frontier-And κ must equal the peeling ground truth on `space`, with and
 /// without the flat container cache, sequentially and in parallel.
 fn assert_frontier_exact<S: CliqueSpace>(space: &S) {
     let exact = peel(space).kappa;
-    for cfg in [
-        frontier_cfg(),
-        frontier_cfg().without_container_cache(),
-        LocalConfig::with_threads(3).sweep_mode(SweepMode::Frontier),
-    ] {
+    for cfg in [frontier_cfg(), frontier_cfg().without_container_cache()] {
         let r = and(space, &cfg, &Order::Natural);
         assert_eq!(r.tau, exact, "{} diverged from peeling", space.name());
         assert!(r.converged);
         assert_eq!(r.scheduler.items_skipped, 0, "frontier never pays idle visits");
         assert_eq!(r.scheduler.items_processed, r.total_processed());
     }
+    let par = LocalConfig::with_threads(3).sweep_mode(SweepMode::Frontier);
+    assert_and_exact(space, &exact, &par, &Order::Natural);
 }
 
 proptest! {
@@ -110,22 +131,39 @@ fn frontier_processed_beats_full_permutation_scanning() {
     );
 }
 
-/// The same telemetry contract holds for the parallel frontier drain, and
-/// chunk hand-out telemetry reflects the configured worker count.
+/// Parallel `Frontier` on the long-tail graph: exact, and the chunk
+/// hand-out telemetry reflects the configured worker count.
 #[test]
 fn parallel_frontier_telemetry_and_exactness() {
     let g = holme_kim(2_000, 4, 0.5, 11);
     let sp = TrussSpace::precomputed(&g);
     let exact = peel(&sp).kappa;
-    let n = sp.num_cliques() as u64;
     for threads in [2usize, 4] {
         let cfg = LocalConfig::with_threads(threads).sweep_mode(SweepMode::Frontier);
-        let r = and(&sp, &cfg, &Order::Natural);
-        assert_eq!(r.tau, exact, "threads={threads}");
-        assert!(r.converged);
-        assert_eq!(r.scheduler.chunks_per_worker.len(), threads);
-        assert_eq!(r.scheduler.items_skipped, 0);
-        assert!(r.scheduler.items_processed < n * r.sweeps as u64);
+        assert_and_exact(&sp, &exact, &cfg, &Order::Natural);
+    }
+}
+
+/// Parallel And is exact at {1, 2, 4, 8} threads × {Natural, Reverse,
+/// Random} × {Frontier, FlagScan, FullScan} on core and truss: stale τ
+/// reads delay the descent, never corrupt it, and the final certification
+/// sweep closes every race.
+#[test]
+fn parallel_and_is_exact_at_every_thread_count_order_and_mode() {
+    let g = holme_kim(300, 4, 0.5, 21);
+    let core = CoreSpace::new(&g);
+    let truss = TrussSpace::precomputed(&g);
+    let (exact_core, exact_truss) = (peel(&core).kappa, peel(&truss).kappa);
+    for threads in [1usize, 2, 4, 8] {
+        for order in [Order::Natural, Order::Reverse, Order::Random(5)] {
+            for mode in [SweepMode::Frontier, SweepMode::FlagScan, SweepMode::FullScan] {
+                // A small chunk so that 300 vertices really are shared out.
+                let mut cfg = LocalConfig::with_threads(threads).sweep_mode(mode);
+                cfg.parallel = cfg.parallel.chunk(16);
+                assert_and_exact(&core, &exact_core, &cfg, &order);
+                assert_and_exact(&truss, &exact_truss, &cfg, &order);
+            }
+        }
     }
 }
 

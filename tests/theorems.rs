@@ -1,13 +1,15 @@
 //! Property tests for the paper's theorems, run end-to-end across crates.
 //!
 //! * Theorem 1 — monotonicity (`τ_{t+1} ≤ τ_t`) and the lower bound
-//!   (`τ_t ≥ κ`), for every space.
+//!   (`τ_t ≥ κ`), for Snd and for parallel And (whose correctness under
+//!   stale reads the paper rests on exactly this property).
 //! * Theorem 2 — κ is non-decreasing across degree levels.
 //! * Theorem 3 / Lemma 2 — r-cliques in level `L_i` converge within `i`
 //!   iterations; the level count bounds Snd's iteration count.
 //! * Theorem 4 — And in non-decreasing final-κ order converges in a single
 //!   updating sweep.
 
+use hdsd::nucleus::IterationEvent;
 use hdsd::prelude::*;
 use proptest::prelude::*;
 
@@ -16,39 +18,44 @@ fn arb_graph() -> impl Strategy<Value = hdsd::graph::CsrGraph> {
         .prop_map(|edges| hdsd::graph::GraphBuilder::new().edges(edges).build())
 }
 
+/// Names the first run over `sp` — Snd, or parallel And at 2 and 4 threads
+/// — whose per-sweep τ snapshots break Theorem 1: τ rose between two
+/// sweeps, or dropped below κ.
+fn theorem1_violation<S: CliqueSpace>(sp: &S) -> Option<String> {
+    let exact = peel(sp).kappa;
+    let mut snaps: Vec<Vec<u32>> = Vec::new();
+    let mut runs = Vec::new();
+    snd_with_observer(sp, &LocalConfig::default(), &mut |ev| snaps.push(ev.tau.to_vec()));
+    runs.push(("snd".to_string(), std::mem::take(&mut snaps)));
+    for threads in [2, 4] {
+        // Chunks of 4, so that a 20-vertex graph really is shared out.
+        let mut cfg = LocalConfig::with_threads(threads);
+        cfg.parallel = cfg.parallel.chunk(4);
+        let mut observe = |ev: IterationEvent<'_>| snaps.push(ev.tau.to_vec());
+        let opts = AndOptions { observer: Some(&mut observe), ..AndOptions::default() };
+        and_opts(sp, &cfg, &Order::Natural, opts).expect("an unarmed token never cancels");
+        runs.push((format!("and, {threads} threads"), std::mem::take(&mut snaps)));
+    }
+    runs.into_iter().find_map(|(run, snaps)| {
+        let monotone = snaps.windows(2).all(|w| w[1].iter().zip(&w[0]).all(|(a, b)| a <= b));
+        let bounded = snaps.iter().all(|tau| tau.iter().zip(&exact).all(|(a, k)| a >= k));
+        (!monotone || !bounded).then_some(run)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn theorem1_monotone_and_lower_bounded(g in arb_graph()) {
-        let sp = CoreSpace::new(&g);
-        let exact = peel(&sp).kappa;
-        let mut prev: Option<Vec<u32>> = None;
-        let mut ok = true;
-        snd_with_observer(&sp, &LocalConfig::default(), &mut |ev| {
-            if let Some(p) = &prev {
-                ok &= ev.tau.iter().zip(p).all(|(&a, &b)| a <= b);
-            }
-            ok &= ev.tau.iter().zip(&exact).all(|(&a, &b)| a >= b);
-            prev = Some(ev.tau.to_vec());
-        });
-        prop_assert!(ok, "Theorem 1 violated");
+        let broken = theorem1_violation(&CoreSpace::new(&g));
+        prop_assert!(broken.is_none(), "Theorem 1 violated by {broken:?}");
     }
 
     #[test]
     fn theorem1_for_truss(g in arb_graph()) {
-        let sp = TrussSpace::precomputed(&g);
-        let exact = peel(&sp).kappa;
-        let mut prev: Option<Vec<u32>> = None;
-        let mut ok = true;
-        snd_with_observer(&sp, &LocalConfig::default(), &mut |ev| {
-            if let Some(p) = &prev {
-                ok &= ev.tau.iter().zip(p).all(|(&a, &b)| a <= b);
-            }
-            ok &= ev.tau.iter().zip(&exact).all(|(&a, &b)| a >= b);
-            prev = Some(ev.tau.to_vec());
-        });
-        prop_assert!(ok);
+        let broken = theorem1_violation(&TrussSpace::precomputed(&g));
+        prop_assert!(broken.is_none(), "Theorem 1 violated by {broken:?}");
     }
 
     #[test]
