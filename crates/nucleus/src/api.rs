@@ -1,13 +1,10 @@
 //! One-call conveniences for the common decompositions.
 //!
 //! These wrap the space construction + algorithm choice for users who just
-//! want numbers: exact κ via the fastest exact path (peeling), or
-//! approximate κ via a bounded number of local iterations.
+//! want numbers: exact κ via the fastest exact path (peeling).
 
 use hdsd_graph::{CsrGraph, EdgeId, VertexId};
 
-use crate::asynchronous::{and, Order};
-use crate::convergence::LocalConfig;
 use crate::hierarchy::{build_hierarchy, NucleusDensity};
 use crate::peel::peel;
 use crate::space::{CliqueSpace, CoreSpace, Nucleus34Space, TrussSpace};
@@ -28,18 +25,6 @@ pub fn nucleus34_numbers(g: &CsrGraph) -> (hdsd_graph::TriangleList, Vec<u32>) {
     let space = Nucleus34Space::precomputed(g);
     let kappa = peel(&space).kappa;
     (space.into_triangles(), kappa)
-}
-
-/// Approximate core numbers: `t` local iterations (τ_t ≥ κ₂, Theorem 1).
-pub fn approx_core_numbers(g: &CsrGraph, iterations: usize) -> Vec<u32> {
-    let space = CoreSpace::new(g);
-    and(&space, &LocalConfig::default().max_iterations(iterations), &Order::Natural).tau
-}
-
-/// Approximate truss numbers: `t` local iterations (τ_t ≥ κ₃).
-pub fn approx_truss_numbers(g: &CsrGraph, iterations: usize) -> Vec<u32> {
-    let space = TrussSpace::precomputed(g);
-    and(&space, &LocalConfig::default().max_iterations(iterations), &Order::Natural).tau
 }
 
 /// The densest nucleus of a decomposition with at least `min_vertices`
@@ -150,19 +135,6 @@ mod tests {
         let (tl, k34) = nucleus34_numbers(&g);
         assert_eq!(tl.len(), 8);
         assert!(k34.iter().all(|&k| k == 1)); // each K4's triangles
-    }
-
-    #[test]
-    fn approx_upper_bounds_exact() {
-        let g = hdsd_datasets::holme_kim(200, 5, 0.5, 3);
-        let exact = core_numbers(&g);
-        for t in [1usize, 2, 4] {
-            let approx = approx_core_numbers(&g, t);
-            assert!(approx.iter().zip(&exact).all(|(&a, &k)| a >= k), "t={t}");
-        }
-        let exact_t = truss_numbers(&g);
-        let approx_t = approx_truss_numbers(&g, 2);
-        assert!(approx_t.iter().zip(&exact_t).all(|(&a, &k)| a >= k));
     }
 
     #[test]

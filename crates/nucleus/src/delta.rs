@@ -19,7 +19,8 @@
 //!   is copied with triangle ids remapped — no global K4 enumeration.
 //!
 //! The spliced rows are what the κ refresh peels
-//! ([`crate::incremental::refresh_kappa`]). Each function also returns the
+//! ([`crate::update::refresh_kappa`]); [`crate::update::update_space`]
+//! picks the splice for its space. Each function also returns the
 //! `new id → old id` clique remap and the **touched** set — the surviving
 //! cliques whose container set changed, which the splice has to know anyway
 //! to decide which rows to re-derive — so a resident forest is repaired

@@ -22,7 +22,9 @@
 //! Plus the surrounding machinery the paper's evaluation exercises:
 //! degree levels and the Theorem-3 convergence bound ([`levels`]), the
 //! nucleus hierarchy/forest ([`hierarchy`]), query-driven local estimation
-//! ([`query`]), and the toy graphs from the paper's figures ([`toys`]).
+//! ([`query`]), the edge-batch update step — splice, peel, forest repair —
+//! that the serving engine runs ([`update`]), and the toy graphs from the
+//! paper's figures ([`toys`]).
 //!
 //! ## Quick start
 //!
@@ -48,17 +50,17 @@ pub mod convergence;
 pub mod delta;
 pub mod export;
 pub mod hierarchy;
-pub mod incremental;
 pub mod levels;
 pub mod peel;
 pub mod query;
 pub mod snd;
 pub mod space;
 pub mod toys;
+pub mod update;
 
 pub use api::{
-    approx_core_numbers, approx_truss_numbers, core_numbers, densest_nucleus, maximum_core_of,
-    maximum_truss_of, nucleus34_numbers, truss_numbers,
+    core_numbers, densest_nucleus, maximum_core_of, maximum_truss_of, nucleus34_numbers,
+    truss_numbers,
 };
 pub use asynchronous::{and, and_opts, AndOptions, Order};
 pub use cancel::{CancelReason, CancelToken, Cancelled};
@@ -74,10 +76,6 @@ pub use hierarchy::{
     assert_forest_eq, build_hierarchy, build_hierarchy_within, repair_hierarchy, Hierarchy,
     HierarchyNode, RepairStats,
 };
-pub use incremental::{
-    rebuild_graph, refresh_kappa, BatchOutcome, CoreKind, Incremental, IncrementalCore,
-    Nucleus34Kind, SpaceKind, TrussKind,
-};
 pub use levels::{degree_levels, DegreeLevels};
 pub use peel::{
     peel, peel_flat, peel_parallel, peel_walk, DrainStats, PeelCancelled, PeelEngine, PeelResult,
@@ -92,6 +90,7 @@ pub use space::{
     CachedSpace, CliqueSpace, CoreSpace, FlatContainers, GenericSpace, Nucleus34Space, TrussSpace,
     Vertex13Space,
 };
+pub use update::{rebuild_graph, refresh_kappa, update_space, GraphStep, SpaceSel, SpaceStep};
 
 /// One-stop imports for typical use.
 pub mod prelude {

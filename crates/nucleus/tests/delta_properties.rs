@@ -3,15 +3,16 @@
 //! structures must be **structurally identical** to from-scratch builds at
 //! every layer (CSR, triangle list, container caches), the splice's
 //! touched set must be exactly the surviving cliques whose container set
-//! changed, and the refreshed κ must stay bit-identical to a cold peel for
-//! all three spaces. Case counts are proptest-driven, so the nightly
+//! changed, and the refreshed κ of the serving engine's update step
+//! (`GraphStep` + `update_space`) must stay bit-identical to a cold peel
+//! for all three spaces. Case counts are proptest-driven, so the nightly
 //! `slow-props` job's `PROPTEST_CASES` override deepens this suite too.
 
 use hdsd_graph::{apply_edge_batch, triangle_delta, CsrGraph, TriangleList, VertexId, NO_ID};
 use hdsd_nucleus::{
-    core_space_delta, nucleus34_space_delta, peel, rebuild_graph, truss_space_delta, CachedSpace,
-    CliqueSpace, CoreKind, CoreSpace, Incremental, Nucleus34Kind, Nucleus34Space, SpaceDelta,
-    SpaceKind, TrussKind, TrussSpace,
+    core_space_delta, nucleus34_space_delta, peel, rebuild_graph, truss_space_delta, update_space,
+    CachedSpace, CancelToken, CliqueSpace, CoreSpace, GraphStep, Nucleus34Space, SpaceDelta,
+    SpaceSel, TrussSpace,
 };
 
 use proptest::prelude::*;
@@ -188,20 +189,30 @@ proptest! {
     }
 }
 
-fn incremental_stays_exact<K: SpaceKind>(n: u32, seed: u64, batch_seed: u64) {
+/// Carries one space through four random batches with the engine's update
+/// step ([`GraphStep`] + [`update_space`]), checking κ against a cold peel
+/// of the post-batch graph after each.
+fn incremental_stays_exact(sel: SpaceSel, n: u32, seed: u64, batch_seed: u64) {
     let base = hdsd_datasets::holme_kim(n, 4, 0.55, seed ^ 0x55);
-    let g = hdsd_datasets::thin_edges(&base, 0.8, seed);
-    let mut inc: Incremental<K> = Incremental::new(g);
+    let mut g = hdsd_datasets::thin_edges(&base, 0.8, seed);
+    let mut tl = sel.needs_triangles().then(|| TriangleList::build(&g));
+    let mut cached = sel.build_cached(&g, tl.as_ref());
     let mut rng = 0xFEED ^ batch_seed;
     for round in 0..4 {
-        let (ins, rm) = random_batch(inc.graph(), &mut rng);
-        inc.update_edges(&ins, &rm);
-        let exact = peel(&K::build(inc.graph())).kappa;
+        let (ins, rm) = random_batch(&g, &mut rng);
+        let step = GraphStep::new(&g, tl.as_ref(), &ins, &rm);
+        if step.is_noop() {
+            continue; // the engine keeps the old state
+        }
+        let up = update_space(sel, &cached, None, &step, &CancelToken::none()).unwrap();
+        let GraphStep { new_graph, triangles, .. } = step;
+        (g, tl, cached) = (new_graph, triangles.map(|td| td.list), up.cached);
+        let exact = peel(&sel.build_cached(&g, Some(&TriangleList::build(&g)))).kappa;
         assert_eq!(
-            inc.kappa(),
-            exact.as_slice(),
+            up.kappa,
+            exact,
             "{} diverged from cold peel at n {n} seed {seed} batch {batch_seed} round {round}",
-            K::NAME
+            sel.name()
         );
     }
 }
@@ -215,8 +226,8 @@ proptest! {
         seed in 0u64..1_000_000,
         batch_seed in 0u64..1_000_000,
     ) {
-        incremental_stays_exact::<CoreKind>(n, seed, batch_seed);
-        incremental_stays_exact::<TrussKind>(n, seed, batch_seed);
-        incremental_stays_exact::<Nucleus34Kind>(n, seed, batch_seed);
+        for sel in [SpaceSel::Core, SpaceSel::Truss, SpaceSel::Nucleus34] {
+            incremental_stays_exact(sel, n, seed, batch_seed);
+        }
     }
 }

@@ -2,8 +2,9 @@
 //! construction and repair: on random Holme–Kim graphs the builder gives
 //! one forest whichever way a space serves its rows, and with random mixed
 //! insert/remove batches, for **all three** maintained clique spaces
-//! (core, truss, (3,4)), the forest produced by [`Hierarchy::repair`] must
-//! be structurally identical — canonical-form equal, see
+//! (core, truss, (3,4)), the forest repaired by the serving engine's update
+//! step (`GraphStep` + `update_space`, which calls [`Hierarchy::repair`])
+//! must be structurally identical — canonical-form equal, see
 //! `hdsd_nucleus::hierarchy::canonical` — to a cold [`build_hierarchy`]
 //! over the post-batch space. Repairs are *chained* (each round repairs
 //! the previous round's repaired forest), so drift would compound and be
@@ -12,19 +13,19 @@
 //! Forest equality is subtle because node ids are renumbering-dependent;
 //! `canonical()` quotients ids and sibling order away, which is what makes
 //! "repaired ≡ rebuilt" a checkable property at all. The suite also
-//! cross-checks the repair telemetry: no-op batches must preserve
-//! everything, and the scanned region must never exceed the full s-clique
-//! universe.
+//! cross-checks the repair telemetry: the stats partition the repaired
+//! forest, and a small batch preserves most of it. No-op batches are
+//! skipped, as the engine skips them.
 //!
 //! Case counts are tuned for the PR gate; the nightly `slow-props` CI job
 //! reruns this suite with `PROPTEST_CASES` raised (the vendored proptest
 //! honors the same env var as the real crate).
 
-use hdsd_graph::{CsrGraph, VertexId};
+use hdsd_graph::{CsrGraph, TriangleList, VertexId};
 use hdsd_nucleus::{
-    assert_forest_eq, build_hierarchy, build_hierarchy_within, peel, CachedSpace, CancelToken,
-    CliqueSpace, CoreKind, CoreSpace, GenericSpace, Hierarchy, Incremental, Nucleus34Kind,
-    Nucleus34Space, SpaceKind, TrussKind, TrussSpace,
+    assert_forest_eq, build_hierarchy, build_hierarchy_within, peel, update_space, CachedSpace,
+    CancelToken, CliqueSpace, CoreSpace, GenericSpace, GraphStep, Hierarchy, Nucleus34Space,
+    RepairStats, SpaceSel, TrussSpace,
 };
 use proptest::prelude::*;
 use proptest::splitmix64 as splitmix;
@@ -62,49 +63,87 @@ fn random_batch(g: &CsrGraph, rng: &mut u64) -> (Batch, Batch) {
     (ins, rm)
 }
 
-/// Drives one space kind through `rounds` chained batches, asserting after
+/// One space as the serving engine keeps it between batches: graph,
+/// triangle list, rows, κ and a resident forest.
+struct Resident {
+    sel: SpaceSel,
+    graph: CsrGraph,
+    triangles: Option<TriangleList>,
+    cached: CachedSpace,
+    kappa: Vec<u32>,
+    forest: Hierarchy,
+}
+
+impl Resident {
+    fn new(sel: SpaceSel, graph: CsrGraph) -> Resident {
+        let triangles = sel.needs_triangles().then(|| TriangleList::build(&graph));
+        let cached = sel.build_cached(&graph, triangles.as_ref());
+        let kappa = peel(&cached).kappa;
+        let forest = build_hierarchy(&cached, &kappa);
+        Resident { sel, graph, triangles, cached, kappa, forest }
+    }
+
+    /// One batch through the engine's update step, forest included.
+    /// `None` for a batch that changes nothing (the engine keeps the old
+    /// state and runs no step).
+    fn apply(
+        &mut self,
+        ins: &[(VertexId, VertexId)],
+        rm: &[(VertexId, VertexId)],
+    ) -> Option<RepairStats> {
+        let step = GraphStep::new(&self.graph, self.triangles.as_ref(), ins, rm);
+        if step.is_noop() {
+            return None;
+        }
+        let up =
+            update_space(self.sel, &self.cached, Some(&self.forest), &step, &CancelToken::none())
+                .unwrap();
+        let GraphStep { new_graph, triangles, .. } = step;
+        let (forest, stats) = up.forest.expect("a resident forest is repaired");
+        self.graph = new_graph;
+        self.triangles = triangles.map(|td| td.list);
+        (self.cached, self.kappa, self.forest) = (up.cached, up.kappa, forest);
+        Some(stats)
+    }
+}
+
+/// Drives one space through `rounds` chained batches, asserting after
 /// each that the repaired forest is canonical-form equal to a cold rebuild
 /// of the post-batch space. Returns aggregate preservation counters so
 /// callers can assert the repair actually reuses work overall.
-fn chained_repairs_equal_cold<K: SpaceKind>(
+fn chained_repairs_equal_cold(
+    sel: SpaceSel,
     g: CsrGraph,
     rounds: usize,
     rng: &mut u64,
 ) -> (usize, usize) {
-    let mut inc: Incremental<K> = Incremental::new(g);
-    let mut forest: Hierarchy = build_hierarchy(inc.cached(), inc.kappa());
+    let mut res = Resident::new(sel, g);
     let mut preserved_total = 0usize;
     let mut nodes_total = 0usize;
     for round in 0..rounds {
-        let (ins, rm) = random_batch(inc.graph(), rng);
-        let out = inc.update_edges_outcome(&ins, &rm);
-        let (repaired, stats) = forest.repair(
-            inc.cached(),
-            inc.kappa(),
-            &out.new_to_old,
-            out.old_num_cliques,
-            &out.touched,
-        );
-        let cold = build_hierarchy(inc.cached(), inc.kappa());
+        let (ins, rm) = random_batch(&res.graph, rng);
+        // Chained: each round repairs the previous round's repaired forest.
+        let Some(stats) = res.apply(&ins, &rm) else { continue };
+        let repaired = &res.forest;
+        let cold = build_hierarchy(&res.cached, &res.kappa);
         // The property: repair ≡ cold rebuild, structurally. On failure,
         // print the reproducing inputs before the canonical diagnostic.
         if repaired.canonical() != cold.canonical() {
             eprintln!(
                 "{} repair diverged from cold rebuild at round {round}: \
                  ins {ins:?}, rm {rm:?}, stats {stats:?}",
-                K::NAME
+                sel.name()
             );
         }
-        assert_forest_eq(&repaired, &cold);
+        assert_forest_eq(repaired, &cold);
         assert!(
             stats.preserved_nodes + stats.rebuilt_nodes == repaired.len(),
             "{}: stats don't partition the result: {stats:?} vs {} nodes",
-            K::NAME,
+            sel.name(),
             repaired.len()
         );
         preserved_total += stats.preserved_nodes;
         nodes_total += repaired.len();
-        forest = repaired; // chain: next round repairs the repaired forest
     }
     (preserved_total, nodes_total)
 }
@@ -171,7 +210,7 @@ proptest! {
     ) {
         let g = hdsd_datasets::holme_kim(n, m, p as f64 / 100.0, seed);
         let mut rng = batch_seed ^ 0xC04E;
-        chained_repairs_equal_cold::<CoreKind>(g, 3, &mut rng);
+        chained_repairs_equal_cold(SpaceSel::Core, g, 3, &mut rng);
     }
 
     #[test]
@@ -184,7 +223,7 @@ proptest! {
     ) {
         let g = hdsd_datasets::holme_kim(n, m, p as f64 / 100.0, seed);
         let mut rng = batch_seed ^ 0x7255;
-        chained_repairs_equal_cold::<TrussKind>(g, 3, &mut rng);
+        chained_repairs_equal_cold(SpaceSel::Truss, g, 3, &mut rng);
     }
 
     #[test]
@@ -197,34 +236,32 @@ proptest! {
     ) {
         let g = hdsd_datasets::holme_kim(n, m, p as f64 / 100.0, seed);
         let mut rng = batch_seed ^ 0x3434;
-        chained_repairs_equal_cold::<Nucleus34Kind>(g, 2, &mut rng);
+        chained_repairs_equal_cold(SpaceSel::Nucleus34, g, 2, &mut rng);
     }
 }
 
 /// On a graph with many far-apart communities and a single-edge batch, the
-/// repair must actually *preserve* most of the forest — the point of the
-/// tentpole, asserted on counters rather than wall clocks.
+/// repair must actually *preserve* most of the forest — asserted on
+/// counters rather than wall clocks. Truss, because its forest has one
+/// subtree per community; the core forest here is a four-node chain that
+/// any batch perturbs whole (the repair's `full_rebuild` case).
 #[test]
 fn small_batches_preserve_most_of_the_forest() {
     let g = hdsd_datasets::planted_partition(&[20, 20, 20, 20, 20], 0.5, 0.01, 77);
-    let mut inc: Incremental<CoreKind> = Incremental::new(g);
-    let forest = build_hierarchy(inc.cached(), inc.kappa());
-    let out = inc.update_edges_outcome(&[(0, 1)], &[]);
-    let (repaired, stats) = forest.repair(
-        inc.cached(),
-        inc.kappa(),
-        &out.new_to_old,
-        out.old_num_cliques,
-        &out.touched,
-    );
-    assert_forest_eq(&repaired, &build_hierarchy(inc.cached(), inc.kappa()));
+    // An absent edge inside the first community: a batch that changes
+    // something (a present edge would be a no-op, with nothing to repair).
+    let v = (1..20).find(|&v| g.edge_id(0, v).is_none()).expect("community 0 is not a clique");
+    let mut res = Resident::new(SpaceSel::Truss, g);
+    let stats = res.apply(&[(0, v)], &[]).expect("the edge is new");
+    let repaired = &res.forest;
+    assert_forest_eq(repaired, &build_hierarchy(&res.cached, &res.kappa));
     assert!(
         stats.preserved_nodes * 2 > repaired.len(),
         "one-edge batch should preserve most nodes: {stats:?} of {} nodes",
         repaired.len()
     );
     assert!(
-        stats.scanned_scliques < inc.graph().num_edges(),
+        stats.scanned_scliques < res.graph.num_edges(),
         "one-edge batch should not re-scan every s-clique: {stats:?}"
     );
 }
@@ -235,23 +272,14 @@ fn deletion_heavy_batches_stay_equivalent() {
     let base = hdsd_datasets::holme_kim(150, 5, 0.6, 9);
     for kind_rounds in 0..3u64 {
         let mut rng = 0xDE1E ^ kind_rounds;
-        let mut inc: Incremental<TrussKind> = Incremental::new(base.clone());
-        let mut forest = build_hierarchy(inc.cached(), inc.kappa());
+        let mut res = Resident::new(SpaceSel::Truss, base.clone());
         for _ in 0..3 {
             let victims: Vec<(u32, u32)> = {
-                let edges = inc.graph().edges();
+                let edges = res.graph.edges();
                 (0..12).map(|_| edges[(splitmix(&mut rng) % edges.len() as u64) as usize]).collect()
             };
-            let out = inc.update_edges_outcome(&[], &victims);
-            let (repaired, _) = forest.repair(
-                inc.cached(),
-                inc.kappa(),
-                &out.new_to_old,
-                out.old_num_cliques,
-                &out.touched,
-            );
-            assert_forest_eq(&repaired, &build_hierarchy(inc.cached(), inc.kappa()));
-            forest = repaired;
+            res.apply(&[], &victims);
+            assert_forest_eq(&res.forest, &build_hierarchy(&res.cached, &res.kappa));
         }
     }
 }
@@ -262,28 +290,12 @@ fn deletion_heavy_batches_stay_equivalent() {
 fn wipe_and_regrow_round_trips() {
     let g = hdsd_datasets::holme_kim(40, 3, 0.5, 4);
     let all_edges: Vec<(u32, u32)> = g.edges().to_vec();
-    let mut inc: Incremental<CoreKind> = Incremental::new(g);
-    let mut forest = build_hierarchy(inc.cached(), inc.kappa());
+    let mut res = Resident::new(SpaceSel::Core, g);
 
-    let out = inc.update_edges_outcome(&[], &all_edges);
-    let (repaired, _) = forest.repair(
-        inc.cached(),
-        inc.kappa(),
-        &out.new_to_old,
-        out.old_num_cliques,
-        &out.touched,
-    );
-    assert!(repaired.is_empty(), "wiped graph must repair to an empty forest");
-    assert_forest_eq(&repaired, &build_hierarchy(inc.cached(), inc.kappa()));
-    forest = repaired;
+    res.apply(&[], &all_edges).expect("wiping changes the graph");
+    assert!(res.forest.is_empty(), "wiped graph must repair to an empty forest");
+    assert_forest_eq(&res.forest, &build_hierarchy(&res.cached, &res.kappa));
 
-    let out = inc.update_edges_outcome(&all_edges, &[]);
-    let (regrown, _) = forest.repair(
-        inc.cached(),
-        inc.kappa(),
-        &out.new_to_old,
-        out.old_num_cliques,
-        &out.touched,
-    );
-    assert_forest_eq(&regrown, &build_hierarchy(inc.cached(), inc.kappa()));
+    res.apply(&all_edges, &[]).expect("regrowing changes the graph");
+    assert_forest_eq(&res.forest, &build_hierarchy(&res.cached, &res.kappa));
 }

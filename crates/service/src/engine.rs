@@ -11,12 +11,12 @@
 //! * **region queries** resolve against a lazily-built resident
 //!   [`Hierarchy`] (Sarıyüce–Pınar's "keep the nucleus forest as the
 //!   index" idea);
-//! * **edge batches** splice the CSR, the shared triangle substrate and
-//!   every space snapshot ([`hdsd_graph::delta`],
-//!   [`hdsd_nucleus::delta`]), then refresh κ by peeling the spliced rows
-//!   ([`refresh_kappa`] — the paper's Theorem 4: one pass in κ order) and
-//!   repair resident forests from the splice's touched set — nothing is
-//!   rebuilt or re-enumerated globally, and a batch that changes nothing
+//! * **edge batches** run the update step of [`hdsd_nucleus::update`]:
+//!   one [`GraphStep`] splices the CSR and the shared triangle substrate,
+//!   then [`update_space`] splices each space's rows, refreshes κ by
+//!   peeling them (the paper's Theorem 4: one pass in κ order) and repairs
+//!   a resident forest from the splice's touched set — nothing is rebuilt
+//!   or re-enumerated globally, and a batch that changes nothing
 //!   re-publishes the current epoch's contents;
 //! * **snapshots** serialize graph + κ + hierarchies for fast restart.
 //!
@@ -38,74 +38,23 @@
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use hdsd_graph::{apply_edge_batch, triangle_delta, CsrDelta, CsrGraph, TriangleList, VertexId};
+use hdsd_graph::{CsrDelta, CsrGraph, TriangleList, VertexId};
 use hdsd_nucleus::hierarchy::NucleusDensity;
 use hdsd_nucleus::{
-    build_hierarchy, build_hierarchy_within, core_space_delta, local_estimate_opts,
-    nucleus34_space_delta, peel, refresh_kappa, truss_space_delta, CachedSpace, CancelToken,
-    Cancelled, CliqueSpace, CoreSpace, Hierarchy, LocalConfig, Nucleus34Space, QueryEstimate,
-    QueryOptions, Snapshot, SpaceSnapshot, TrussSpace,
+    build_hierarchy, build_hierarchy_within, local_estimate_opts, peel, update_space, CachedSpace,
+    CancelToken, Cancelled, CliqueSpace, GraphStep, Hierarchy, LocalConfig, QueryEstimate,
+    QueryOptions, Snapshot, SpaceSnapshot, SpaceStep,
 };
 use hdsd_telemetry::{labeled, span, Registry};
 
-/// Which decomposition a request addresses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpaceSel {
-    /// (1,2): k-core over vertices.
-    Core,
-    /// (2,3): k-truss over edges.
-    Truss,
-    /// (3,4): nucleus over triangles.
-    Nucleus34,
-}
+/// Which decomposition a request addresses (defined beside the update step
+/// in `hdsd-nucleus`).
+pub use hdsd_nucleus::SpaceSel;
 
-impl SpaceSel {
-    /// Parses the protocol's space names.
-    pub fn parse(name: &str) -> Option<SpaceSel> {
-        match name {
-            "core" | "12" => Some(SpaceSel::Core),
-            "truss" | "23" => Some(SpaceSel::Truss),
-            "nucleus34" | "34" => Some(SpaceSel::Nucleus34),
-            _ => None,
-        }
-    }
-
-    /// Protocol name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SpaceSel::Core => "core",
-            SpaceSel::Truss => "truss",
-            SpaceSel::Nucleus34 => "nucleus34",
-        }
-    }
-
-    /// The `(r, s)` pair.
-    pub fn rs(self) -> (u32, u32) {
-        match self {
-            SpaceSel::Core => (1, 2),
-            SpaceSel::Truss => (2, 3),
-            SpaceSel::Nucleus34 => (3, 4),
-        }
-    }
-
-    /// Whether this space is built over the triangle substrate.
-    fn needs_triangles(self) -> bool {
-        !matches!(self, SpaceSel::Core)
-    }
-
-    fn build_cached(self, graph: &CsrGraph, triangles: Option<&TriangleList>) -> CachedSpace {
-        match (self, triangles) {
-            (SpaceSel::Core, _) => CachedSpace::build(&CoreSpace::new(graph)),
-            (SpaceSel::Truss, Some(tl)) => {
-                CachedSpace::build(&TrussSpace::with_triangles(graph, tl))
-            }
-            (SpaceSel::Truss, None) => CachedSpace::build(&TrussSpace::on_the_fly(graph)),
-            (SpaceSel::Nucleus34, Some(tl)) => {
-                CachedSpace::build(&Nucleus34Space::with_triangles(graph, tl))
-            }
-            (SpaceSel::Nucleus34, None) => CachedSpace::build(&Nucleus34Space::on_the_fly(graph)),
-        }
-    }
+/// The triangle list shared by the truss and (3,4) spaces, built once when
+/// any of `spaces` needs it.
+fn shared_triangles(graph: &CsrGraph, spaces: &[SpaceSel]) -> Option<Arc<TriangleList>> {
+    spaces.iter().any(|s| s.needs_triangles()).then(|| Arc::new(TriangleList::build(graph)))
 }
 
 /// Engine construction options.
@@ -325,6 +274,56 @@ pub struct SpaceRefresh {
     /// (`None` when the space had no hierarchy built yet — nothing to
     /// repair, and nothing is invalidated either).
     pub hierarchy_repair: Option<HierarchyRepairReport>,
+}
+
+impl SpaceRefresh {
+    /// The all-zero row of a batch that changed nothing.
+    fn idle(sel: SpaceSel) -> SpaceRefresh {
+        SpaceRefresh {
+            space: sel.name(),
+            processed: 0,
+            awake: 0,
+            splice_us: 0,
+            refresh_us: 0,
+            hierarchy_repair: None,
+        }
+    }
+
+    /// The report row of one space's update step, recorded into the
+    /// global registry on the way.
+    fn record(sel: SpaceSel, up: &SpaceStep) -> SpaceRefresh {
+        let hierarchy_repair = up.forest.as_ref().map(|(_, stats)| HierarchyRepairReport {
+            repair_us: up.repair_us,
+            preserved_subtrees: stats.preserved_subtrees,
+            preserved_nodes: stats.preserved_nodes,
+            rebuilt_nodes: stats.rebuilt_nodes,
+            dirty_cliques: stats.dirty_cliques,
+            scanned_scliques: stats.scanned_scliques,
+            full_rebuild: stats.full_rebuild,
+        });
+        let processed = up.kappa.len() as u64;
+        let reg = Registry::global();
+        let lbl = [("space", sel.name())];
+        reg.counter(&labeled("refresh_processed_total", &lbl)).add(processed);
+        reg.counter(&labeled("refresh_awake_total", &lbl)).add(up.touched.len() as u64);
+        reg.histogram(&labeled("update_splice_micros", &lbl)).record(up.splice_us);
+        reg.histogram(&labeled("update_refresh_micros", &lbl)).record(up.refresh_us);
+        if let Some(hr) = &hierarchy_repair {
+            reg.histogram(&labeled("hierarchy_repair_micros", &lbl)).record(hr.repair_us);
+            reg.counter(&labeled("repair_preserved_nodes_total", &lbl))
+                .add(hr.preserved_nodes as u64);
+            reg.counter(&labeled("repair_rebuilt_nodes_total", &lbl)).add(hr.rebuilt_nodes as u64);
+            reg.counter(&labeled("repair_full_rebuilds_total", &lbl)).add(hr.full_rebuild as u64);
+        }
+        SpaceRefresh {
+            space: sel.name(),
+            processed,
+            awake: up.touched.len(),
+            splice_us: up.splice_us,
+            refresh_us: up.refresh_us,
+            hierarchy_repair,
+        }
+    }
 }
 
 /// Result of applying one edge batch.
@@ -731,11 +730,7 @@ impl Engine {
     /// Builds the engine with a full decomposition of every configured
     /// space. The triangle substrate is enumerated once and shared.
     pub fn new(graph: CsrGraph, cfg: &EngineConfig) -> Engine {
-        let triangles = cfg
-            .spaces
-            .iter()
-            .any(|s| s.needs_triangles())
-            .then(|| Arc::new(TriangleList::build(&graph)));
+        let triangles = shared_triangles(&graph, &cfg.spaces);
         let spaces = cfg
             .spaces
             .iter()
@@ -819,19 +814,20 @@ impl Engine {
     }
 
     /// Applies an edge batch by building the **next epoch off to the
-    /// side**: the CSR, the triangle substrate, and every resident space
-    /// snapshot are spliced into fresh values, κ is refreshed by peeling
-    /// the spliced rows ([`refresh_kappa`]), and resident hierarchies are
-    /// **repaired** ([`Hierarchy::repair`], seeded with the splice's
-    /// touched set) instead of invalidated. The current view is never
-    /// touched — readers holding it keep answering bit-identically — and
-    /// on return `self.view` is the new epoch, ready to publish.
+    /// side**: one [`GraphStep`] splices the CSR and the triangle substrate
+    /// into fresh values, and every resident space goes through the same
+    /// [`update_space`] the property suites drive — its rows are spliced,
+    /// κ is refreshed by peeling them, and a resident hierarchy is
+    /// **repaired** (seeded with the splice's touched set) instead of
+    /// invalidated. The current view is never touched — readers holding it
+    /// keep answering bit-identically — and on return `self.view` is the
+    /// new epoch, ready to publish.
     ///
     /// A batch that changes neither the edge set nor the vertex count
-    /// (an idempotent retry, a WAL record the checkpoint already holds)
-    /// costs one [`apply_edge_batch`] and nothing else: the next epoch
-    /// shares every `Arc` of this one, and the per-space report rows are
-    /// all zeros.
+    /// ([`GraphStep::is_noop`]: an idempotent retry, a WAL record the
+    /// checkpoint already holds) costs one CSR splice and nothing else: the
+    /// next epoch shares every `Arc` of this one, and the per-space report
+    /// rows are all zeros.
     ///
     /// This is a deliberately read-optimized trade: forest maintenance
     /// (including the cold build the repair degrades to when nothing is
@@ -892,6 +888,8 @@ impl Engine {
             .expect("an unarmed token never cancels")
     }
 
+    /// The update: one [`GraphStep`], then one [`update_space`] per resident
+    /// space, each result wrapped into the next epoch's [`SpaceView`].
     fn apply(
         &mut self,
         insert: &[(VertexId, VertexId)],
@@ -904,145 +902,55 @@ impl Engine {
         }
         let start = Instant::now();
         let old = Arc::clone(&self.view);
-        let delta_span = hdsd_telemetry::trace::Span::enter("update.graph_delta");
-        let (new_graph, ed) = apply_edge_batch(&old.graph, insert, remove);
-        // An insert naming a vertex beyond the current set grows the vertex
-        // set even when its edge is dropped, so that batch is not a no-op.
-        if ed.is_noop() && new_graph.num_vertices() == old.graph.num_vertices() {
-            drop(delta_span);
-            let graph_delta_us = start.elapsed().as_micros() as u64;
+        let step = {
+            span!("update.graph_delta");
+            GraphStep::new(&old.graph, old.triangles.as_deref(), insert, remove)
+        };
+        let graph_delta_us = start.elapsed().as_micros() as u64;
+        if step.is_noop() {
             let next = EngineView {
                 graph: Arc::clone(&old.graph),
                 triangles: old.triangles.clone(),
                 spaces: old.spaces.iter().map(SpaceView::share).collect(),
                 updates_applied: old.updates_applied + batches,
             };
-            let spaces = old
-                .spaces
-                .iter()
-                .map(|st| SpaceRefresh {
-                    space: st.sel.name(),
-                    processed: 0,
-                    awake: 0,
-                    splice_us: 0,
-                    refresh_us: 0,
-                    hierarchy_repair: None,
-                })
-                .collect();
-            let report = UpdateReport::unstamped(&ed, graph_delta_us, spaces, 0);
+            let spaces = old.spaces.iter().map(|st| SpaceRefresh::idle(st.sel)).collect();
+            let report = UpdateReport::unstamped(&step.delta, graph_delta_us, spaces, 0);
             return Ok(self.publish(next, start, report));
         }
-        let td = old.triangles.as_deref().map(|tl| triangle_delta(tl, &new_graph, &ed));
-        drop(delta_span);
-        let graph_delta_us = start.elapsed().as_micros() as u64;
 
         let mut reports = Vec::with_capacity(old.spaces.len());
         let mut new_spaces = Vec::with_capacity(old.spaces.len());
-        let mut hierarchy_repair_us = 0u64;
         for st in old.spaces.iter() {
-            let t_splice = Instant::now();
-            let splice_span = hdsd_telemetry::trace::Span::enter("update.splice");
-            let sd = match st.sel {
-                SpaceSel::Core => core_space_delta(&old.graph, &new_graph, &ed),
-                SpaceSel::Truss => truss_space_delta(
-                    &st.cached,
-                    old.triangles.as_deref().unwrap(),
-                    &new_graph,
-                    &ed,
-                    td.as_ref().unwrap(),
-                ),
-                SpaceSel::Nucleus34 => nucleus34_space_delta(
-                    &st.cached,
-                    &old.graph,
-                    old.triangles.as_deref().unwrap(),
-                    &new_graph,
-                    &ed,
-                    td.as_ref().unwrap(),
-                ),
-            };
-            drop(splice_span);
-            let splice_us = t_splice.elapsed().as_micros() as u64;
-            let t_refresh = Instant::now();
-            let kappa = {
-                span!("update.refresh");
-                refresh_kappa(&sd.cached, cancel)?.kappa
-            };
-            let refresh_us = t_refresh.elapsed().as_micros() as u64;
             // The next epoch inherits a repaired forest iff this epoch has
             // one resident at this instant (see the race note above).
-            let mut next_hierarchy = None;
-            let hierarchy_repair = st.hierarchy.get().map(|hi| {
-                let t_repair = Instant::now();
-                span!("update.repair");
-                let (forest, stats) = hi.forest.repair(
-                    &sd.cached,
-                    &kappa,
-                    &sd.new_to_old,
-                    st.cached.num_cliques(),
-                    &sd.touched,
-                );
-                next_hierarchy =
-                    Some(HierarchyIndex::from_forest(Arc::new(forest), sd.cached.num_cliques()));
-                let repair_us = t_repair.elapsed().as_micros() as u64;
-                hierarchy_repair_us += repair_us;
-                HierarchyRepairReport {
-                    repair_us,
-                    preserved_subtrees: stats.preserved_subtrees,
-                    preserved_nodes: stats.preserved_nodes,
-                    rebuilt_nodes: stats.rebuilt_nodes,
-                    dirty_cliques: stats.dirty_cliques,
-                    scanned_scliques: stats.scanned_scliques,
-                    full_rebuild: stats.full_rebuild,
-                }
-            });
-            let processed = kappa.len() as u64;
-            let reg = Registry::global();
-            let lbl = [("space", st.sel.name())];
-            reg.counter(&labeled("refresh_processed_total", &lbl)).add(processed);
-            reg.counter(&labeled("refresh_awake_total", &lbl)).add(sd.touched.len() as u64);
-            reg.histogram(&labeled("update_splice_micros", &lbl)).record(splice_us);
-            reg.histogram(&labeled("update_refresh_micros", &lbl)).record(refresh_us);
-            if let Some(hr) = &hierarchy_repair {
-                reg.histogram(&labeled("hierarchy_repair_micros", &lbl)).record(hr.repair_us);
-                reg.counter(&labeled("repair_preserved_nodes_total", &lbl))
-                    .add(hr.preserved_nodes as u64);
-                reg.counter(&labeled("repair_rebuilt_nodes_total", &lbl))
-                    .add(hr.rebuilt_nodes as u64);
-                reg.counter(&labeled("repair_full_rebuilds_total", &lbl))
-                    .add(hr.full_rebuild as u64);
-            }
-            reports.push(SpaceRefresh {
-                space: st.sel.name(),
-                processed,
-                awake: sd.touched.len(),
-                splice_us,
-                refresh_us,
-                hierarchy_repair,
-            });
+            let forest = st.hierarchy.get().map(|hi| hi.forest.as_ref());
+            let up = update_space(st.sel, &st.cached, forest, &step, cancel)?;
+            reports.push(SpaceRefresh::record(st.sel, &up));
             let hierarchy = OnceLock::new();
-            if let Some(hi) = next_hierarchy {
-                let _ = hierarchy.set(hi);
+            if let Some((forest, _)) = up.forest {
+                let index = HierarchyIndex::from_forest(Arc::new(forest), up.cached.num_cliques());
+                let _ = hierarchy.set(index);
             }
             new_spaces.push(SpaceView {
                 sel: st.sel,
-                cached: Arc::new(sd.cached),
-                kappa: Arc::new(kappa),
+                cached: Arc::new(up.cached),
+                kappa: Arc::new(up.kappa),
                 hierarchy,
                 build_us: st.build_us,
                 peel_us: st.peel_us,
             });
         }
-        let triangles = match td {
-            Some(td) => Some(Arc::new(td.list)),
-            None => old.triangles.clone(),
-        };
+        let hierarchy_repair_us =
+            reports.iter().filter_map(|r| r.hierarchy_repair.map(|h| h.repair_us)).sum();
+        let GraphStep { new_graph, delta, triangles, .. } = step;
         let next = EngineView {
             graph: Arc::new(new_graph),
-            triangles,
+            triangles: triangles.map(|td| Arc::new(td.list)).or_else(|| old.triangles.clone()),
             spaces: new_spaces,
             updates_applied: old.updates_applied + batches,
         };
-        let report = UpdateReport::unstamped(&ed, graph_delta_us, reports, hierarchy_repair_us);
+        let report = UpdateReport::unstamped(&delta, graph_delta_us, reports, hierarchy_repair_us);
         Ok(self.publish(next, start, report))
     }
 
@@ -1075,16 +983,17 @@ impl Engine {
     /// adopted as-is — `Arc`-shared with the snapshot, not copied — after
     /// a length check. `_local` is unread (see [`EngineConfig::local`]).
     pub fn from_snapshot(snap: Snapshot, _local: LocalConfig) -> Result<Engine, String> {
-        let needs_tri = snap.spaces.iter().any(|sp| sp.rs != (1, 2));
-        let triangles = needs_tri.then(|| Arc::new(TriangleList::build(&snap.graph)));
+        let sels = snap
+            .spaces
+            .iter()
+            .map(|sp| {
+                SpaceSel::from_rs(sp.rs)
+                    .ok_or_else(|| format!("snapshot contains unknown space {:?}", sp.rs))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let triangles = shared_triangles(&snap.graph, &sels);
         let mut spaces = Vec::with_capacity(snap.spaces.len());
-        for sp in snap.spaces {
-            let sel = match sp.rs {
-                (1, 2) => SpaceSel::Core,
-                (2, 3) => SpaceSel::Truss,
-                (3, 4) => SpaceSel::Nucleus34,
-                other => return Err(format!("snapshot contains unknown space {other:?}")),
-            };
+        for (sp, sel) in snap.spaces.into_iter().zip(sels) {
             let t_build = Instant::now();
             let cached = sel.build_cached(&snap.graph, triangles.as_deref());
             let build_us = t_build.elapsed().as_micros() as u64;
@@ -1134,6 +1043,7 @@ impl Engine {
 mod tests {
     use super::*;
     use hdsd_graph::graph_from_edges;
+    use hdsd_nucleus::{CoreSpace, Nucleus34Space, TrussSpace};
 
     fn demo_graph() -> CsrGraph {
         // Two K4s sharing the edge (2,3), plus a tail 5-6.

@@ -9,9 +9,10 @@
 //! * point lookups are vector reads; budgeted estimates run the local
 //!   algorithm with a Theorem-1 `lower ≤ κ ≤ estimate` interval; region
 //!   queries materialize nuclei from the resident hierarchy;
-//! * edge batches splice the resident rows and refresh κ by peeling them
-//!   ([`hdsd_nucleus::refresh_kappa`] — one pass in κ order, exact), and
-//!   repair resident forests from the cliques the splice touched;
+//! * edge batches run `hdsd-nucleus`'s one update step
+//!   ([`hdsd_nucleus::update_space`]): splice the resident rows, refresh κ
+//!   by peeling them (one pass in κ order, exact), and repair a resident
+//!   forest from the cliques the splice touched;
 //! * [`hdsd_nucleus::Snapshot`]s restart the engine without decomposing.
 //!
 //! Serving state is published in **epochs** ([`epoch`]): every update

@@ -125,7 +125,7 @@ fn architecture_md_crate_table_names_real_items() {
         let idents: Vec<&str> = items.split('`').skip(1).step_by(2).collect();
         assert!(!idents.is_empty(), "crate table row for {name} names no items");
         for ticked in idents {
-            // `Incremental<K>` → Incremental, `span!` → span.
+            // `GraphStep<'a>` → GraphStep, `span!` → span.
             let ident = ticked.split(['<', '!']).next().expect("split yields a first piece");
             assert!(
                 declares(&src, ident),

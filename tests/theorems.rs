@@ -7,9 +7,10 @@
 //! * Theorem 3 / Lemma 2 — r-cliques in level `L_i` converge within `i`
 //!   iterations; the level count bounds Snd's iteration count.
 //! * Theorem 4 — And in non-decreasing final-κ order converges in a single
-//!   updating sweep.
+//!   updating sweep; and so the serving engine's update step (splice, one
+//!   peel, forest repair) equals a cold decomposition after every batch.
 
-use hdsd::nucleus::IterationEvent;
+use hdsd::nucleus::{update_space, CancelToken, GraphStep, IterationEvent, SpaceSel};
 use hdsd::prelude::*;
 use proptest::prelude::*;
 
@@ -41,6 +42,36 @@ fn theorem1_violation<S: CliqueSpace>(sp: &S) -> Option<String> {
         let bounded = snaps.iter().all(|tau| tau.iter().zip(&exact).all(|(a, k)| a >= k));
         (!monotone || !bounded).then_some(run)
     })
+}
+
+/// Carries `sel` through two batches with the update step the serving
+/// engine runs (`GraphStep` + `update_space`, forest passed in) — insert
+/// `extra`, then delete half of what exists — asserting after each that
+/// κ equals a cold peel and the repaired forest a cold `build_hierarchy`.
+fn update_step_matches_cold(sel: SpaceSel, mut g: hdsd::graph::CsrGraph, extra: &[(u32, u32)]) {
+    use hdsd::graph::TriangleList;
+    let mut tl = sel.needs_triangles().then(|| TriangleList::build(&g));
+    let mut cached = sel.build_cached(&g, tl.as_ref());
+    let mut forest = build_hierarchy(&cached, &peel(&cached).kappa);
+    for insert in [true, false] {
+        let (ins, rm) = if insert {
+            (extra.to_vec(), Vec::new())
+        } else {
+            (Vec::new(), g.edges().iter().copied().step_by(2).collect())
+        };
+        let step = GraphStep::new(&g, tl.as_ref(), &ins, &rm);
+        if step.is_noop() {
+            continue; // the engine keeps the old state
+        }
+        let up = update_space(sel, &cached, Some(&forest), &step, &CancelToken::none())
+            .expect("an unarmed token never cancels");
+        let GraphStep { new_graph, triangles, .. } = step;
+        (g, tl, cached) = (new_graph, triangles.map(|td| td.list), up.cached);
+        let cold = sel.build_cached(&g, Some(&TriangleList::build(&g)));
+        assert_eq!(up.kappa, peel(&cold).kappa, "{} κ, insert batch: {insert}", sel.name());
+        forest = up.forest.expect("a resident forest is repaired").0;
+        hdsd::nucleus::assert_forest_eq(&forest, &build_hierarchy(&cold, &up.kappa));
+    }
 }
 
 proptest! {
@@ -164,17 +195,10 @@ proptest! {
         g in arb_graph(),
         extra in proptest::collection::vec((0u32..22, 0u32..22), 1..10),
     ) {
-        use hdsd::nucleus::IncrementalCore;
-        let mut inc = IncrementalCore::new(g);
-        inc.insert_edges(&extra);
-        let expect = peel(&CoreSpace::new(inc.graph())).kappa;
-        prop_assert_eq!(inc.core_numbers(), expect.as_slice());
-        // then delete half of what exists
-        let victims: Vec<(u32, u32)> =
-            inc.graph().edges().iter().copied().step_by(2).collect();
-        inc.remove_edges(&victims);
-        let expect = peel(&CoreSpace::new(inc.graph())).kappa;
-        prop_assert_eq!(inc.core_numbers(), expect.as_slice());
+        // The serving engine's update step, over every maintained space.
+        for sel in [SpaceSel::Core, SpaceSel::Truss, SpaceSel::Nucleus34] {
+            update_step_matches_cold(sel, g.clone(), &extra);
+        }
     }
 
     #[test]
