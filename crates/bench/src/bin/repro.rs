@@ -31,7 +31,11 @@ use hdsd_bench::Env;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (env, rest) = Env::from_args(&args);
+    let (env, rest) = Env::from_args(&args).unwrap_or_else(|e| {
+        eprintln!("repro: {e}\n");
+        print!("{}", HELP);
+        std::process::exit(2);
+    });
     let exp = rest.first().map(String::as_str).unwrap_or("help");
 
     let t0 = std::time::Instant::now();

@@ -1,11 +1,11 @@
 #![warn(missing_docs)]
 //! # hdsd-bench
 //!
-//! The reproduction harness: one subcommand per table/figure of the paper
-//! (see `src/bin/repro.rs`) plus criterion micro-benchmarks under
-//! `benches/`. This library holds the shared plumbing: environment
-//! parsing, wall-clock timing, and plain-text table rendering so every
-//! experiment prints rows comparable to the paper's.
+//! The reproduction harness: one subcommand of the `repro` binary per
+//! table/figure of the paper (see `src/bin/repro.rs`). This library holds
+//! the experiments and their shared plumbing: environment parsing,
+//! wall-clock timing, and plain-text table rendering so every experiment
+//! prints rows comparable to the paper's.
 
 pub mod experiments;
 
@@ -38,51 +38,41 @@ impl Default for Env {
 
 impl Env {
     /// Parses `--scale X`, `--threads N`, `--data-dir D` from an argument
-    /// list, returning the env and the remaining positional arguments.
-    pub fn from_args(args: &[String]) -> (Env, Vec<String>) {
+    /// list, returning the env and the remaining positional arguments, or
+    /// an error naming the flag whose value is missing or malformed.
+    pub fn from_args(args: &[String]) -> Result<(Env, Vec<String>), String> {
         let mut env = Env::default();
         let mut rest = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let flag = arg.as_str();
+            if !matches!(flag, "--scale" | "--threads" | "--data-dir") {
+                rest.push(arg.clone());
+                continue;
+            }
+            let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            match flag {
                 "--scale" => {
-                    i += 1;
-                    env.scale = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(env.scale);
+                    env.scale =
+                        value.parse().ok().filter(|s: &f64| s.is_finite() && *s > 0.0).ok_or_else(
+                            || format!("--scale wants a positive number, got {value:?}"),
+                        )?;
                 }
                 "--threads" => {
-                    i += 1;
-                    env.threads = args.get(i).and_then(|s| s.parse().ok()).unwrap_or(env.threads);
+                    env.threads = value.parse().ok().filter(|&t| t > 0).ok_or_else(|| {
+                        format!("--threads wants a positive integer, got {value:?}")
+                    })?;
                 }
-                "--data-dir" => {
-                    i += 1;
-                    if let Some(d) = args.get(i) {
-                        env.data_dir = PathBuf::from(d);
-                    }
-                }
-                other => rest.push(other.to_string()),
+                _ => env.data_dir = PathBuf::from(value),
             }
-            i += 1;
         }
-        (env, rest)
+        Ok((env, rest))
     }
 
     /// Loads a dataset honoring the data dir and scale.
     pub fn load(&self, d: hdsd_datasets::Dataset) -> hdsd_graph::CsrGraph {
         d.load_or_generate(&self.data_dir, self.scale)
     }
-}
-
-/// The `"stamp"` member every bench artifact opens with: the commit the
-/// numbers were measured on, the cores they had, and the run size.
-pub fn stamp_json(quick: bool) -> String {
-    let git = std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--abbrev=7"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map_or("unknown".to_string(), |o| String::from_utf8_lossy(&o.stdout).trim().to_string());
-    let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
-    format!("  \"stamp\": {{\"git\": \"{git}\", \"nproc\": {nproc}, \"quick\": {quick}}},\n")
 }
 
 /// Runs `f` once, returning its result and wall time.
@@ -159,16 +149,30 @@ mod tests {
 
     #[test]
     fn env_parses_flags() {
-        let args: Vec<String> =
-            ["--scale", "0.5", "f1a", "--threads", "3", "--data-dir", "/tmp/x", "extra"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-        let (env, rest) = Env::from_args(&args);
+        let args = |line: &str| line.split_whitespace().map(String::from).collect::<Vec<_>>();
+        let (env, rest) =
+            Env::from_args(&args("--scale 0.5 f1a --threads 3 --data-dir /tmp/x extra")).unwrap();
         assert_eq!(env.scale, 0.5);
         assert_eq!(env.threads, 3);
         assert_eq!(env.data_dir, PathBuf::from("/tmp/x"));
         assert_eq!(rest, vec!["f1a".to_string(), "extra".to_string()]);
+
+        // A malformed, out-of-range or missing value is an error naming
+        // its flag, never a silent fallback to the default.
+        for (bad, flag) in [
+            ("--scale abc", "--scale"),
+            ("--scale 0", "--scale"),
+            ("--scale -1", "--scale"),
+            ("--scale inf", "--scale"),
+            ("--scale NaN", "--scale"),
+            ("--threads x", "--threads"),
+            ("--threads 0", "--threads"),
+            ("f8 --threads", "--threads"),
+            ("f8 --data-dir", "--data-dir"),
+        ] {
+            let err = Env::from_args(&args(bad)).unwrap_err();
+            assert!(err.starts_with(flag), "{bad:?}: {err}");
+        }
     }
 
     #[test]

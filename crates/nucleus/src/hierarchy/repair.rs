@@ -63,7 +63,8 @@ use super::{ForestBuilder, Hierarchy, HierarchyNode, TOMBSTONE};
 use crate::cancel::CancelToken;
 use crate::space::CliqueSpace;
 
-/// Telemetry of one repair, for update reports and the bench gate.
+/// Telemetry of one repair, for update reports and the pinned counts of
+/// `hierarchy_repair_properties`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RepairStats {
     /// Maximal untouched subtrees grafted back without reconstruction.

@@ -65,8 +65,9 @@ impl From<PeelCancelled> for String {
 /// Deterministic work counters of one peeling run.
 ///
 /// Exact and identical between the walk and flat forms (same algorithm,
-/// same visit order) — the CI bench gate pins them as a drift check. Each
-/// has a closed form (`containers_scanned = Σ d_S`,
+/// same visit order) — `peel_flat_properties` pins their values on a
+/// fixed graph as a drift check. Each has a closed form
+/// (`containers_scanned = Σ d_S`,
 /// `dead_containers = Σ d_S − #containers`,
 /// `bucket_moves = Σ d_S − Σ κ`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -282,9 +283,9 @@ impl PeelEngine {
 }
 
 /// Exact sequential peeling through the space's container walk — the
-/// pre-flat form, kept as the ablation reference (`BENCH_peel.json`'s
-/// "walk" rows) and the fallback for spaces with no cache. Bit-identical
-/// to [`peel_flat`] on the same space.
+/// pre-flat form, kept as the reference the flat engine is tested against
+/// (`peel_flat_properties`) and the fallback for spaces with no cache.
+/// Bit-identical to [`peel_flat`] on the same space.
 pub fn peel_walk<S: CliqueSpace>(space: &S) -> PeelResult {
     hdsd_telemetry::span!("peel.walk");
     let n = space.num_cliques();

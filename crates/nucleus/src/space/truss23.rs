@@ -12,8 +12,7 @@
 //!   "find participations of r-cliques in s-cliques on-the-fly" approach
 //!   the paper uses for large graphs.
 //!
-//! Both expose identical semantics (cross-checked by tests and used by the
-//! memory/time ablation bench).
+//! Both expose identical semantics (cross-checked by tests).
 
 use std::borrow::Cow;
 

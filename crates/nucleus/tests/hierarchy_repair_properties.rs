@@ -14,8 +14,9 @@
 //! `canonical()` quotients ids and sibling order away, which is what makes
 //! "repaired ≡ rebuilt" a checkable property at all. The suite also
 //! cross-checks the repair telemetry: the stats partition the repaired
-//! forest, and a small batch preserves most of it. No-op batches are
-//! skipped, as the engine skips them.
+//! forest, a small batch preserves most of it, and on one fixed stream the
+//! per-batch counts are pinned exactly. No-op batches are skipped, as the
+//! engine skips them.
 //!
 //! Case counts are tuned for the PR gate; the nightly `slow-props` CI job
 //! reruns this suite with `PROPTEST_CASES` raised (the vendored proptest
@@ -264,6 +265,49 @@ fn small_batches_preserve_most_of_the_forest() {
         stats.scanned_scliques < res.graph.num_edges(),
         "one-edge batch should not re-scan every s-clique: {stats:?}"
     );
+}
+
+/// A fixed stream of small mixed batches (two random inserts, three
+/// present edges removed) on a thinned power-law graph, through all three
+/// spaces with resident forests: how much of each forest the repair
+/// grafts back is a function of the inputs, so it is pinned exactly per
+/// batch as `(preserved_nodes, rebuilt_nodes, full_rebuild)`. The core
+/// forest is a five-node chain that both batches perturb whole; only the
+/// first is caught up front by the `full_rebuild` short-circuit.
+#[test]
+fn repair_preservation_is_pinned() {
+    let g = hdsd_datasets::thin_edges(&hdsd_datasets::holme_kim(2_000, 5, 0.4, 7), 0.7, 7);
+    let mut spaces = [SpaceSel::Core, SpaceSel::Truss, SpaceSel::Nucleus34]
+        .map(|sel| Resident::new(sel, g.clone()));
+    // Per batch: core, truss, (3,4).
+    let expected = [
+        [(0, 5, true), (398, 2, false), (28, 0, false)],
+        [(0, 5, false), (399, 1, false), (28, 0, false)],
+    ];
+    let mut rng = 0xDECAF;
+    for (batch, want) in expected.into_iter().enumerate() {
+        let (ins, rm) = {
+            let g = &spaces[0].graph;
+            let nv = g.num_vertices() as u64;
+            let ins: Batch = (0..2)
+                .map(|_| ((splitmix(&mut rng) % nv) as u32, (splitmix(&mut rng) % nv) as u32))
+                .collect();
+            let rm: Batch = (0..3)
+                .map(|_| g.edges()[(splitmix(&mut rng) % g.num_edges() as u64) as usize])
+                .collect();
+            (ins, rm)
+        };
+        for (res, want) in spaces.iter_mut().zip(want) {
+            let s = res.apply(&ins, &rm).expect("the batch changes the graph");
+            assert_forest_eq(&res.forest, &build_hierarchy(&res.cached, &res.kappa));
+            assert_eq!(
+                (s.preserved_nodes, s.rebuilt_nodes, s.full_rebuild),
+                want,
+                "{} batch {batch}: (preserved_nodes, rebuilt_nodes, full_rebuild)",
+                res.sel.name()
+            );
+        }
+    }
 }
 
 /// Deletion-heavy batches exercise subtree splits and node removals.

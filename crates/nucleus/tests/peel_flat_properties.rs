@@ -5,7 +5,8 @@
 //! deterministic work counters — across every clique space, including the
 //! dynamic-width generic space. So must [`PeelEngine::peel_under`] with an
 //! unarmed token, and the frozen [`peel_parallel`] alias in κ and counters.
-//! Runs under the nightly slow-props budget (`PROPTEST_CASES`).
+//! On one fixed graph the counters' values are pinned exactly. Runs under
+//! the nightly slow-props budget (`PROPTEST_CASES`).
 
 use hdsd_nucleus::{
     peel, peel_flat, peel_parallel, peel_walk, CancelToken, CliqueSpace, CoreSpace, FlatContainers,
@@ -40,7 +41,8 @@ fn check_space<S: CliqueSpace>(space: &S, engine: &mut PeelEngine) {
         assert_eq!(r.max_kappa, walk.max_kappa, "{}: {label} max κ diverged", space.name());
     }
     // The sequential engines execute the identical visit sequence, so the
-    // work counters must match exactly (the CI bench gate pins these).
+    // work counters must match exactly (`peel_work_counters_are_pinned`
+    // pins their values).
     assert_eq!(one_shot.stats, walk.stats, "{}: work counters diverged", space.name());
     assert_eq!(reused.stats, walk.stats, "{}: engine counters diverged", space.name());
     assert_eq!(under.stats, walk.stats, "{}: peel_under counters diverged", space.name());
@@ -99,6 +101,37 @@ proptest! {
         check_space(&TrussSpace::on_the_fly(&thinned), &mut engine);
         check_space(&CoreSpace::new(&thinned), &mut engine);
     }
+}
+
+/// `(containers_scanned, dead_containers, bucket_moves, max_kappa)` of
+/// the exact peel of `space`, through the walk, the flat engine and the
+/// serving engine's cancellable form alike.
+fn assert_pinned_counters<S: CliqueSpace>(space: &S, expected: (u64, u64, u64, u32)) {
+    let flat = FlatContainers::build(space);
+    let under = PeelEngine::new().peel_under(&flat, &CancelToken::none()).expect("unarmed");
+    for (label, r) in
+        [("peel_walk", peel_walk(space)), ("peel_flat", peel_flat(&flat)), ("peel_under", under)]
+    {
+        let s = r.stats;
+        assert_eq!(
+            (s.containers_scanned, s.dead_containers, s.bucket_moves, r.max_kappa),
+            expected,
+            "{}: {label} (containers_scanned, dead_containers, bucket_moves, max_kappa)",
+            space.name()
+        );
+    }
+}
+
+/// The peel's work counters are functions of the graph alone, so on one
+/// fixed graph they are pinned exactly: a change that makes the peel scan
+/// more (or fewer) containers or move more buckets has to change these
+/// numbers on purpose.
+#[test]
+fn peel_work_counters_are_pinned() {
+    let g = hdsd_datasets::holme_kim(2_000, 6, 0.8, 7);
+    assert_pinned_counters(&CoreSpace::new(&g), (23_958, 11_979, 11_958, 6));
+    assert_pinned_counters(&TrussSpace::precomputed(&g), (32_712, 21_808, 13_799, 5));
+    assert_pinned_counters(&Nucleus34Space::precomputed(&g), (11_164, 8_373, 2_476, 4));
 }
 
 #[test]

@@ -20,8 +20,8 @@ pub enum Policy {
     Static,
 }
 
-/// Per-run scheduler telemetry, used by the scheduling ablation benches to
-/// visualize load imbalance and to count useful vs wasted sweep work.
+/// Per-run scheduler telemetry: load imbalance across workers, and useful
+/// vs wasted sweep work (pinned for the sweep modes by the frontier tests).
 ///
 /// `items_processed` / `items_skipped` are filled in by the *callers* of the
 /// scheduling primitives (the decomposition sweeps), which are the only

@@ -71,7 +71,7 @@ fn architecture_md_names_only_real_paths_and_every_crate() {
 }
 
 /// The library rows of ARCHITECTURE.md's crate table; the bench and vendor
-/// rows name artifacts and directories, not items.
+/// rows name a binary and directories, not items.
 const LIBRARY_CRATES: [&str; 8] =
     ["graph", "hindex", "parallel", "nucleus", "metrics", "datasets", "service", "telemetry"];
 
