@@ -4,48 +4,99 @@
 //! A K4 `{u, v, w, x}` with `rank(u) < rank(v) < rank(w) < rank(x)` is found
 //! exactly once by extending the triangle `(u, v, w)` (itself found once)
 //! with every `x` in the triple intersection of the out-lists of `u`, `v`
-//! and `w`.
+//! and `w`. The intersections run through vertex-indexed mark arrays:
+//! [`crate::for_each_triangle`] marks `out(u)` and reports the closers `w`
+//! of each oriented edge `u -> v` together, those closers get a second
+//! mark, and the second-marked members of `out(w)` are the `x`. 4-cliques
+//! are visited in the triangle order of [`crate::for_each_triangle`], each
+//! triangle's `x` in rank order.
+//!
+//! [`K4List`] materializes them in that order with their triangle ids,
+//! found by one incidence-list search per face from the base triangle's
+//! edge ids. [`K4List::build_with`] takes the orientation the triangle
+//! list was built with, so one orientation serves both substrates.
 
-use crate::csr::{CsrGraph, VertexId};
+use crate::csr::{CsrGraph, EdgeId, VertexId};
 use crate::orientation::Orientation;
 use crate::triangles::{for_each_triangle, TriangleList};
 
 /// Calls `f([u, v, w, x])` once per 4-clique, ranks ascending.
 pub fn for_each_k4(g: &CsrGraph, orient: &Orientation, mut f: impl FnMut([VertexId; 4])) {
-    for_each_triangle(g, orient, |_, _, _, [u, v, w]| {
-        let (ou, ov, ow) =
-            (orient.out_neighbors(u), orient.out_neighbors(v), orient.out_neighbors(w));
-        // Three-way merge on rank-sorted lists, skipping past rank(w).
-        let rw = orient.rank(w);
-        let (mut a, mut b, mut c) = (0usize, 0usize, 0usize);
-        while a < ou.len() && b < ov.len() && c < ow.len() {
-            let (ra, rb, rc) = (orient.rank(ou[a]), orient.rank(ov[b]), orient.rank(ow[c]));
-            let rmax = ra.max(rb).max(rc);
-            if rmax <= rw {
-                // candidates must rank above w; advance the minimum
-                if ra <= rb && ra <= rc {
-                    a += 1;
-                } else if rb <= rc {
-                    b += 1;
-                } else {
-                    c += 1;
-                }
-                continue;
+    for_each_k4_on_edges(g, orient, |vs, _| f(vs));
+}
+
+/// [`for_each_k4`], also passing the edge ids `[uv, uw, vw]` of the base
+/// triangle `(u, v, w)`, which is what locating the K4's triangles by
+/// incidence list needs.
+fn for_each_k4_on_edges(
+    g: &CsrGraph,
+    orient: &Orientation,
+    mut f: impl FnMut([VertexId; 4], [EdgeId; 3]),
+) {
+    // Triangles arrive grouped by their oriented edge `u -> v`; `run`
+    // collects that group's closers `(w, e_uw, e_vw)`, in rank order.
+    let mut ext = Extender { closes: vec![false; g.num_vertices()], run: Vec::new() };
+    let mut base = (0, 0, 0);
+    for_each_triangle(g, orient, |e_uv, e_uw, e_vw, [u, v, w]| {
+        if (u, v) != (base.0, base.1) {
+            ext.extend(orient, base, &mut f);
+            base = (u, v, e_uv);
+        }
+        ext.run.push((w, e_uw, e_vw));
+    });
+    ext.extend(orient, base, &mut f);
+}
+
+/// Scratch of [`for_each_k4_on_edges`].
+struct Extender {
+    /// `closes[x]`: x is a closer of the current run.
+    closes: Vec<bool>,
+    run: Vec<(VertexId, EdgeId, EdgeId)>,
+}
+
+impl Extender {
+    /// Reports every K4 `{u, v, w, x}` whose `w` and `x` both close the run
+    /// of `u -> v`, then empties the run.
+    fn extend(
+        &mut self,
+        orient: &Orientation,
+        (u, v, e_uv): (VertexId, VertexId, EdgeId),
+        f: &mut impl FnMut([VertexId; 4], [EdgeId; 3]),
+    ) {
+        // x ranks above w, so the last closer has no x left to meet.
+        if let Some((_, extendable)) = self.run.split_last() {
+            for &(w, _, _) in &self.run {
+                self.closes[w as usize] = true;
             }
-            if ra == rb && rb == rc {
-                f([u, v, w, ou[a]]);
-                a += 1;
-                b += 1;
-                c += 1;
-            } else if ra < rmax {
-                a += 1;
-            } else if rb < rmax {
-                b += 1;
-            } else {
-                c += 1;
+            for &(w, e_uw, e_vw) in extendable {
+                for &x in orient.out_neighbors(w) {
+                    if self.closes[x as usize] {
+                        f([u, v, w, x], [e_uv, e_uw, e_vw]);
+                    }
+                }
+            }
+            for &(w, _, _) in &self.run {
+                self.closes[w as usize] = false;
             }
         }
-    });
+        self.run.clear();
+    }
+}
+
+/// The four triangle ids of the K4 `{u, v, w, x}` reported by
+/// [`for_each_k4_on_edges`], in the sorted-vertex slot order
+/// `[abc, abd, acd, bcd]`: the face missing the vertex with `k` larger
+/// K4 vertices sits in slot `k`.
+fn k4_faces(tl: &TriangleList, vs: [VertexId; 4], [e_uv, e_uw, e_vw]: [EdgeId; 3]) -> [u32; 4] {
+    let [u, v, w, x] = vs;
+    let face = |e: EdgeId, third: VertexId| tl.triangle_on_edge(e, third).expect("face of a K4");
+    let mut ids = [0u32; 4];
+    for (missing, t) in
+        [(x, face(e_uv, w)), (w, face(e_uv, x)), (v, face(e_uw, x)), (u, face(e_vw, x))]
+    {
+        ids[vs.iter().filter(|&&y| y > missing).count()] = t;
+    }
+    ids
 }
 
 /// Total 4-clique count `|K4|`.
@@ -61,27 +112,12 @@ pub fn total_k4(g: &CsrGraph) -> u64 {
 pub fn count_k4_per_triangle(g: &CsrGraph, tl: &TriangleList) -> Vec<u32> {
     let orient = Orientation::degeneracy(g);
     let mut counts = vec![0u32; tl.len()];
-    for_each_k4(g, &orient, |vs| {
-        for t in k4_triangle_ids(g, tl, vs) {
+    for_each_k4_on_edges(g, &orient, |vs, es| {
+        for t in k4_faces(tl, vs, es) {
             counts[t as usize] += 1;
         }
     });
     counts
-}
-
-/// The four triangle ids contained in K4 `{a,b,c,d}` (any vertex order).
-///
-/// # Panics
-/// Panics if the quadruple is not actually a K4 of `g` / `tl`.
-pub fn k4_triangle_ids(g: &CsrGraph, tl: &TriangleList, mut vs: [VertexId; 4]) -> [u32; 4] {
-    vs.sort_unstable();
-    let [a, b, c, d] = vs;
-    [
-        tl.triangle_id(g, a, b, c).expect("triangle abc of K4"),
-        tl.triangle_id(g, a, b, d).expect("triangle abd of K4"),
-        tl.triangle_id(g, a, c, d).expect("triangle acd of K4"),
-        tl.triangle_id(g, b, c, d).expect("triangle bcd of K4"),
-    ]
 }
 
 /// Calls `f([t_abd, t_acd, t_bcd])` for every 4-clique containing triangle
@@ -140,8 +176,6 @@ where
 pub struct K4List {
     /// Triangle ids of each K4: `[abc, abd, acd, bcd]` for sorted vertices.
     pub quad_tris: Vec<[u32; 4]>,
-    /// Vertices of each K4, sorted ascending.
-    pub quad_verts: Vec<[VertexId; 4]>,
     tri_k4_offsets: Vec<usize>,
     tri_k4: Vec<u32>,
 }
@@ -149,14 +183,15 @@ pub struct K4List {
 impl K4List {
     /// Builds the list (degeneracy orientation).
     pub fn build(g: &CsrGraph, tl: &TriangleList) -> Self {
-        let orient = Orientation::degeneracy(g);
+        Self::build_with(g, tl, &Orientation::degeneracy(g))
+    }
+
+    /// Builds the list under a caller-provided orientation (typically the
+    /// one `tl` was built with). K4 ids follow [`for_each_k4`]'s visiting
+    /// order under `orient`.
+    pub fn build_with(g: &CsrGraph, tl: &TriangleList, orient: &Orientation) -> Self {
         let mut quad_tris: Vec<[u32; 4]> = Vec::new();
-        let mut quad_verts: Vec<[VertexId; 4]> = Vec::new();
-        for_each_k4(g, &orient, |mut vs| {
-            vs.sort_unstable();
-            quad_tris.push(k4_triangle_ids(g, tl, vs));
-            quad_verts.push(vs);
-        });
+        for_each_k4_on_edges(g, orient, |vs, es| quad_tris.push(k4_faces(tl, vs, es)));
         assert!(
             quad_tris.len() <= u32::MAX as usize,
             "K4 count {} exceeds u32 id space",
@@ -180,7 +215,7 @@ impl K4List {
                 cursor[t as usize] += 1;
             }
         }
-        K4List { quad_tris, quad_verts, tri_k4_offsets, tri_k4 }
+        K4List { quad_tris, tri_k4_offsets, tri_k4 }
     }
 
     /// Number of 4-cliques.

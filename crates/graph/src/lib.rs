@@ -11,11 +11,13 @@
 //!   assigns indices to edges, not vertices).
 //! * [`GraphBuilder`] — deduplicating, self-loop-removing builder.
 //! * [`orientation`] — degree and degeneracy orders and the oriented (DAG)
-//!   view used for triangle / 4-clique enumeration without double counting.
+//!   view used for triangle / 4-clique enumeration without double counting,
+//!   built in linear time and shareable between enumerators.
 //! * [`triangles`] — per-edge triangle counts and a materialized triangle
-//!   list with edge-aligned incidence (the (2,3) substrate).
+//!   list with edge-aligned incidence (the (2,3) substrate), enumerated
+//!   through a mark array and numbered canonically by counting sort.
 //! * [`cliques4`] — per-triangle 4-clique counts and enumeration (the (3,4)
-//!   substrate).
+//!   substrate), over the same orientation and mark-array intersection.
 //! * [`delta`] — incremental maintenance: apply a mixed edge batch to an
 //!   existing CSR by adjacency splicing (with stable edge-id remaps) and
 //!   keep the triangle substrate in sync without re-enumeration.
@@ -32,7 +34,6 @@ pub mod csr;
 pub mod delta;
 pub mod io;
 pub mod orientation;
-pub mod parallel_count;
 pub mod subgraph;
 pub mod triangles;
 
@@ -47,8 +48,5 @@ pub use delta::{
 };
 pub use io::{read_edge_list, read_graph_binary, write_edge_list, write_graph_binary};
 pub use orientation::{degeneracy_order, degree_order, Orientation, VertexOrder};
-pub use parallel_count::{
-    count_triangles_per_edge_parallel, total_k4_parallel, total_triangles_parallel,
-};
 pub use subgraph::{density, induced_subgraph, InducedSubgraph};
 pub use triangles::{count_triangles_per_edge, for_each_triangle, total_triangles, TriangleList};

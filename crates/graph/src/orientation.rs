@@ -6,6 +6,13 @@
 //! vertex. Degree order is the classical choice for triangle counting;
 //! degeneracy order bounds out-degrees by the graph's degeneracy, which is
 //! what makes 4-clique enumeration tractable on skewed graphs.
+//!
+//! Both the degeneracy order (Matula–Beck bucket peeling) and the
+//! [`Orientation`] are linear-time: the oriented out-lists are filled by
+//! walking the vertices in rank order, so they come out rank-sorted
+//! without a sort. One degeneracy orientation is meant to be built once
+//! and shared by every enumerator that needs it
+//! ([`crate::TriangleList::build_with`], [`crate::K4List::build_with`]).
 
 use crate::csr::{CsrGraph, EdgeId, VertexId};
 
@@ -104,7 +111,8 @@ pub fn degeneracy_order(g: &CsrGraph) -> (VertexOrder, u32) {
 
 /// Oriented adjacency: for each vertex, the neighbors that come *after* it
 /// in a [`VertexOrder`], with the matching undirected edge ids. Out-lists
-/// are sorted by the order's rank so intersections can run merge-style.
+/// are sorted by the order's rank, which fixes the order in which the
+/// enumerators visit cliques.
 #[derive(Clone, Debug)]
 pub struct Orientation {
     offsets: Vec<usize>,
@@ -116,30 +124,33 @@ pub struct Orientation {
 }
 
 impl Orientation {
-    /// Orients `g` under `order`.
+    /// Orients `g` under `order` in `O(n + m)`.
     pub fn new(g: &CsrGraph, order: VertexOrder) -> Self {
         let n = g.num_vertices();
         let mut offsets = vec![0usize; n + 1];
-        for v in 0..n as VertexId {
-            let c = g.neighbors(v).iter().filter(|&&w| order.before(v, w)).count();
-            offsets[v as usize + 1] = c;
+        let mut by_rank = vec![0 as VertexId; n];
+        for v in g.vertices() {
+            offsets[v as usize + 1] =
+                g.neighbors(v).iter().filter(|&&w| order.before(v, w)).count();
+            by_rank[order.rank[v as usize] as usize] = v;
         }
         for i in 0..n {
             offsets[i + 1] += offsets[i];
         }
         let mut out = vec![0 as VertexId; offsets[n]];
         let mut out_eids = vec![0 as EdgeId; offsets[n]];
-        for v in 0..n as VertexId {
-            let mut pairs: Vec<(u32, VertexId, EdgeId)> = g
-                .neighbors_with_edges(v)
-                .filter(|&(w, _)| order.before(v, w))
-                .map(|(w, e)| (order.rank[w as usize], w, e))
-                .collect();
-            pairs.sort_unstable();
-            let lo = offsets[v as usize];
-            for (i, (_, w, e)) in pairs.into_iter().enumerate() {
-                out[lo + i] = w;
-                out_eids[lo + i] = e;
+        let mut cursor = offsets.clone();
+        // Each vertex is appended to the out-lists of its lower-ranked
+        // neighbors, and vertices arrive in rank order, so every out-list
+        // comes out rank-sorted already: no per-vertex sort is needed.
+        for &w in &by_rank {
+            for (v, e) in g.neighbors_with_edges(w) {
+                if order.before(v, w) {
+                    let at = &mut cursor[v as usize];
+                    out[*at] = w;
+                    out_eids[*at] = e;
+                    *at += 1;
+                }
             }
         }
         Orientation { offsets, out, out_eids, order }

@@ -1,54 +1,52 @@
 //! Triangle counting, enumeration, and the edge↔triangle incidence used by
 //! the (2,3) (k-truss) and (3,4) nucleus substrates.
 //!
-//! Enumeration orients the graph (degeneracy order by default) and, for each
-//! oriented edge `u -> v`, merge-intersects the rank-sorted out-lists of `u`
-//! and `v`. Every triangle is produced exactly once, from its two
-//! lowest-ranked vertices.
+//! Enumeration orients the graph (degeneracy order by default). For each
+//! vertex `u` it marks the out-list of `u` in a vertex-indexed array, then
+//! scans the out-list of every out-neighbor `v`: each marked `w` closes a
+//! triangle. Every triangle is produced exactly once, from its two
+//! lowest-ranked vertices, in rank order of `w` within `out(v)`.
+//!
+//! [`TriangleList`] numbers triangles canonically (lexicographic vertex
+//! triples) without a comparison sort. Edge ids are lexicographic, so a
+//! triangle `a < b < c` has edge ids `ab < ac < bc`, and lexicographic
+//! order of the triples is the order of the `(ab, ac)` pairs: two stable
+//! counting-sort passes over edge ids, first by `ac`, then by `ab`.
+//! Filling the incidence lists in that order leaves each edge's list
+//! sorted by third vertex, so no per-edge sort is needed either.
 
 use crate::csr::{CsrGraph, EdgeId, VertexId};
+use crate::delta::NO_ID;
 use crate::orientation::Orientation;
 
 /// Calls `f(eid_uv, eid_uw, eid_vw, [u, v, w])` once per triangle, where
 /// `rank(u) < rank(v) < rank(w)` under the orientation's order. Vertex ids
-/// themselves are arbitrary.
+/// themselves are arbitrary. Triangles are visited by `u` ascending, then
+/// `v` and `w` in rank order.
 pub fn for_each_triangle(
     g: &CsrGraph,
     orient: &Orientation,
     mut f: impl FnMut(EdgeId, EdgeId, EdgeId, [VertexId; 3]),
 ) {
+    // `edge_to[w]` = id of the edge `u -> w` while `u`'s out-list is marked.
+    let mut edge_to = vec![NO_ID; g.num_vertices()];
     for u in g.vertices() {
-        for_each_triangle_at(orient, u, &mut f);
-    }
-}
-
-/// Triangles whose lowest-ranked vertex is `u` (the unit the parallel
-/// counters distribute over workers).
-#[inline]
-pub(crate) fn for_each_triangle_at(
-    orient: &Orientation,
-    u: VertexId,
-    f: &mut impl FnMut(EdgeId, EdgeId, EdgeId, [VertexId; 3]),
-) {
-    let ou = orient.out_neighbors(u);
-    let oe = orient.out_edge_ids(u);
-    for (i, (&v, &e_uv)) in ou.iter().zip(oe.iter()).enumerate() {
-        let ov = orient.out_neighbors(v);
-        let ove = orient.out_edge_ids(v);
-        // Merge out(u)[i+1..] with out(v), both sorted by rank.
-        let (mut a, mut b) = (i + 1, 0usize);
-        while a < ou.len() && b < ov.len() {
-            let (wa, wb) = (ou[a], ov[b]);
-            let (ra, rb) = (orient.rank(wa), orient.rank(wb));
-            if ra < rb {
-                a += 1;
-            } else if rb < ra {
-                b += 1;
-            } else {
-                f(e_uv, oe[a], ove[b], [u, v, wa]);
-                a += 1;
-                b += 1;
+        let (ou, oe) = (orient.out_neighbors(u), orient.out_edge_ids(u));
+        for (&w, &e) in ou.iter().zip(oe) {
+            edge_to[w as usize] = e;
+        }
+        for (&v, &e_uv) in ou.iter().zip(oe) {
+            // Every w of out(v) ranks above v, so a marked one sits after v
+            // in out(u) and closes the triangle u < v < w.
+            for (&w, &e_vw) in orient.out_neighbors(v).iter().zip(orient.out_edge_ids(v)) {
+                let e_uw = edge_to[w as usize];
+                if e_uw != NO_ID {
+                    f(e_uv, e_uw, e_vw, [u, v, w]);
+                }
             }
+        }
+        for &w in ou {
+            edge_to[w as usize] = NO_ID;
         }
     }
 }
@@ -106,41 +104,34 @@ impl TriangleList {
         Self::build_with(g, &Orientation::degeneracy(g))
     }
 
-    /// Builds the list under a caller-provided orientation.
+    /// Builds the list under a caller-provided orientation. Ids do not
+    /// depend on the orientation.
     pub fn build_with(g: &CsrGraph, orient: &Orientation) -> Self {
-        let mut tri_verts: Vec<[VertexId; 3]> = Vec::new();
-        let mut tri_edges: Vec<[EdgeId; 3]> = Vec::new();
-        for_each_triangle(g, orient, |e_uv, e_uw, e_vw, [u, v, w]| {
-            let mut vs = [u, v, w];
-            vs.sort_unstable();
-            // Map edges to the sorted-vertex convention: edges of (a,b,c)
-            // stored as [ab, ac, bc].
-            let (a, b, c) = (vs[0], vs[1], vs[2]);
-            let mut es = [0 as EdgeId; 3];
-            for &e in &[e_uv, e_uw, e_vw] {
-                let (x, y) = g.edge_endpoints(e);
-                let slot = if (x, y) == (a, b) {
-                    0
-                } else if (x, y) == (a, c) {
-                    1
-                } else {
-                    debug_assert_eq!((x, y), (b, c));
-                    2
-                };
-                es[slot] = e;
-            }
-            tri_verts.push(vs);
-            tri_edges.push(es);
+        // Discovery order; a triangle's edge ids ascending are [ab, ac, bc].
+        let mut found: Vec<[EdgeId; 3]> = Vec::new();
+        for_each_triangle(g, orient, |e1, e2, e3, _| {
+            let (lo, hi) = (e1.min(e2), e1.max(e2));
+            let (mid, hi) = (hi.min(e3), hi.max(e3));
+            found.push([lo.min(mid), lo.max(mid), hi]);
         });
 
-        // Canonicalize: ids follow the lexicographic order of the vertex
-        // triples, not the orientation's discovery order.
-        let mut perm: Vec<u32> = (0..tri_verts.len() as u32).collect();
-        perm.sort_unstable_by_key(|&t| tri_verts[t as usize]);
-        let tri_verts: Vec<[VertexId; 3]> = perm.iter().map(|&t| tri_verts[t as usize]).collect();
-        let tri_edges: Vec<[EdgeId; 3]> = perm.iter().map(|&t| tri_edges[t as usize]).collect();
+        // Canonical order = (ab, ac) order: stable counting sorts on ac,
+        // then on ab.
+        let m = g.num_edges();
+        let mut by_ac = vec![[0 as EdgeId; 3]; found.len()];
+        counting_sort_by_slot(&found, 1, m, &mut by_ac);
+        let mut tri_edges = found;
+        counting_sort_by_slot(&by_ac, 0, m, &mut tri_edges);
+        drop(by_ac);
 
-        Self::from_sorted_parts(g.num_edges(), tri_verts, tri_edges)
+        let tri_verts = tri_edges
+            .iter()
+            .map(|&[ab, ac, _]| {
+                let (a, b) = g.edge_endpoints(ab);
+                [a, b, g.edge_endpoints(ac).1]
+            })
+            .collect();
+        Self::from_sorted_parts(m, tri_verts, tri_edges)
     }
 
     /// Assembles a list from canonical parts: `tri_verts` sorted
@@ -176,6 +167,10 @@ impl TriangleList {
         let mut edge_tris = vec![0u32; total];
         let mut edge_tri_third = vec![0 as VertexId; total];
         let mut cursor = edge_tri_offsets.clone();
+        // Filling in canonical order leaves each edge's list sorted by its
+        // third vertex z: for edge (x, y), the triangles (z, x, y) with
+        // z < x come first in lexicographic order, then (x, z, y), then
+        // (x, y, z), each group ascending in z.
         for (t, (vs, es)) in tri_verts.iter().zip(tri_edges.iter()).enumerate() {
             let thirds = [vs[2], vs[1], vs[0]]; // opposite of ab, ac, bc
             for (slot, &e) in es.iter().enumerate() {
@@ -185,21 +180,10 @@ impl TriangleList {
                 cursor[e as usize] += 1;
             }
         }
-        // Sort each edge's incidence by opposite vertex id for binary search.
-        for e in 0..m {
-            let lo = edge_tri_offsets[e];
-            let hi = edge_tri_offsets[e + 1];
-            let mut pairs: Vec<(VertexId, u32)> = edge_tri_third[lo..hi]
-                .iter()
-                .copied()
-                .zip(edge_tris[lo..hi].iter().copied())
-                .collect();
-            pairs.sort_unstable();
-            for (i, (third, t)) in pairs.into_iter().enumerate() {
-                edge_tri_third[lo + i] = third;
-                edge_tris[lo + i] = t;
-            }
-        }
+        debug_assert!((0..m).all(|e| {
+            let thirds = &edge_tri_third[edge_tri_offsets[e]..edge_tri_offsets[e + 1]];
+            thirds.windows(2).all(|w| w[0] < w[1])
+        }));
 
         TriangleList { tri_verts, tri_edges, edge_tri_offsets, edge_tris, edge_tri_third }
     }
@@ -238,9 +222,15 @@ impl TriangleList {
     /// Looks up the id of triangle `{a, b, c}`; `None` if absent.
     /// `O(log △_e)` on the `{a,b}` edge's incidence list.
     pub fn triangle_id(&self, g: &CsrGraph, a: VertexId, b: VertexId, c: VertexId) -> Option<u32> {
-        let e = g.edge_id(a, b)?;
+        self.triangle_on_edge(g.edge_id(a, b)?, c)
+    }
+
+    /// The id of the triangle made by edge `e` and vertex `third`; `None`
+    /// if absent. `O(log △_e)`.
+    pub(crate) fn triangle_on_edge(&self, e: EdgeId, third: VertexId) -> Option<u32> {
         let thirds = self.thirds_of_edge(e);
-        thirds.binary_search(&c).ok().map(|i| self.edge_tris[self.edge_tri_offsets[e as usize] + i])
+        let i = thirds.binary_search(&third).ok()?;
+        Some(self.triangles_of_edge(e)[i])
     }
 
     /// For each triangle incident to edge `e`, the other two edge ids.
@@ -267,6 +257,23 @@ impl TriangleList {
             + self.edge_tri_offsets.len() * std::mem::size_of::<usize>()
             + self.edge_tris.len() * 4
             + self.edge_tri_third.len() * 4
+    }
+}
+
+/// Stable counting sort of `src` into `dst` by the edge id in `slot`, `m`
+/// being the number of edge ids.
+fn counting_sort_by_slot(src: &[[EdgeId; 3]], slot: usize, m: usize, dst: &mut [[EdgeId; 3]]) {
+    let mut next = vec![0usize; m + 1];
+    for es in src {
+        next[es[slot] as usize + 1] += 1;
+    }
+    for i in 0..m {
+        next[i + 1] += next[i];
+    }
+    for es in src {
+        let at = &mut next[es[slot] as usize];
+        dst[*at] = *es;
+        *at += 1;
     }
 }
 

@@ -3,7 +3,7 @@
 //!
 //! Rebuilding the graph, re-enumerating every triangle and K4 and
 //! re-materializing the flat container cache on each update would dwarf
-//! the decomposition itself (building the rows costs ≈ 8× their peel).
+//! the decomposition itself (building the rows costs ≈ 3× their peel).
 //! This module splices instead, using the remaps produced by
 //! [`hdsd_graph::delta`]:
 //!

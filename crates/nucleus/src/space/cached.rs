@@ -205,6 +205,8 @@ mod tests {
         assert_equivalent(&TrussSpace::on_the_fly(&g));
         assert_equivalent(&Nucleus34Space::precomputed(&g));
         assert_equivalent(&Nucleus34Space::on_the_fly(&g));
+        let tl = hdsd_graph::TriangleList::build(&g);
+        assert_equivalent(&Nucleus34Space::with_triangles(&g, &tl));
     }
 
     #[test]

@@ -271,6 +271,8 @@ mod tests {
         assert_matches_walk(&TrussSpace::on_the_fly(&g));
         assert_matches_walk(&Nucleus34Space::precomputed(&g));
         assert_matches_walk(&Nucleus34Space::on_the_fly(&g));
+        let tl = hdsd_graph::TriangleList::build(&g);
+        assert_matches_walk(&Nucleus34Space::with_triangles(&g, &tl));
         assert_matches_walk(&Vertex13Space::new(&g));
     }
 

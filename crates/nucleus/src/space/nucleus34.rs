@@ -8,7 +8,7 @@
 
 use std::borrow::Cow;
 
-use hdsd_graph::{CsrGraph, K4List, TriangleList, VertexId};
+use hdsd_graph::{CsrGraph, K4List, Orientation, TriangleList, VertexId};
 
 use super::CliqueSpace;
 
@@ -28,10 +28,12 @@ pub struct Nucleus34Space<'g> {
 }
 
 impl<'g> Nucleus34Space<'g> {
-    /// Materializes triangle and K4 lists (fast containers, high memory).
+    /// Materializes triangle and K4 lists (fast containers, high memory)
+    /// over one shared degeneracy orientation.
     pub fn precomputed(graph: &'g CsrGraph) -> Self {
-        let triangles = TriangleList::build(graph);
-        let k4 = K4List::build(graph, &triangles);
+        let orient = Orientation::degeneracy(graph);
+        let triangles = TriangleList::build_with(graph, &orient);
+        let k4 = K4List::build_with(graph, &triangles, &orient);
         Nucleus34Space {
             graph,
             triangles: Cow::Owned(triangles),
@@ -56,13 +58,14 @@ impl<'g> Nucleus34Space<'g> {
         }
     }
 
-    /// On-the-fly strategy borrowing a resident triangle list.
+    /// Materializes the K4 list over a borrowed resident triangle list
+    /// (the serving engine's cold build: one K4 enumeration, no per-call
+    /// adjacency walks).
     pub fn with_triangles(graph: &'g CsrGraph, triangles: &'g TriangleList) -> Self {
-        let k4_counts = hdsd_graph::count_k4_per_triangle(graph, triangles);
         Nucleus34Space {
             graph,
             triangles: Cow::Borrowed(triangles),
-            strategy: Strategy::OnTheFly { k4_counts },
+            strategy: Strategy::Precomputed(K4List::build(graph, triangles)),
         }
     }
 
