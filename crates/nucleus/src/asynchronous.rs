@@ -13,13 +13,18 @@
 //! a neighbor's τ changes — is what makes And beat Snd in practice. How the
 //! awake set is *scheduled* is a separate choice ([`crate::SweepMode`]):
 //!
-//! * [`SweepMode::Frontier`] (default) keeps the awake r-cliques in an
-//!   explicit dedup-on-insert worklist, so per-sweep cost is
-//!   `O(|frontier|)`, not `O(n)`. Late, nearly-converged sweeps touch only
-//!   the handful of r-cliques that can still change. The worklist is the
-//!   *sequential* representation of the awake set: a plain epoch queue
-//!   drained in permutation order. With more than one thread the awake
-//!   set is the flag bitmap below (see "Parallel variant").
+//! * [`SweepMode::Frontier`] (default) visits only the awake r-cliques.
+//!   Sequentially it is one frontier with two representations, as in
+//!   direction-optimising BFS. While more than `n / 32` r-cliques are
+//!   awake at the start of a sweep, the sweep scans the wake bitmap in
+//!   permutation order in one linear pass and its wakes only raise flags.
+//!   Otherwise the awake set is also an explicit dedup-on-insert worklist,
+//!   sorted by permutation rank, so late, nearly-converged sweeps cost
+//!   `O(|frontier|)`, not `O(n)`, and touch only the handful of r-cliques
+//!   that can still change. Both forms visit the same r-cliques in the
+//!   same order, so the trajectory never depends on which one runs. With
+//!   more than one thread the awake set is the flag bitmap below (see
+//!   "Parallel variant").
 //! * [`SweepMode::FlagScan`] is the paper's literal formulation: walk the
 //!   full permutation every sweep and test the wake flag per r-clique. It
 //!   recomputes the same r-cliques as `Frontier` but pays `O(n)` idle flag
@@ -30,7 +35,10 @@
 //! The wake semantics are identical across modes: an r-clique woken while
 //! it still awaits processing in the current sweep is visited once, in
 //! place, with the newer τ values; one woken after its visit is scheduled
-//! for the next sweep.
+//! for the next sweep. Under `Frontier` a sweep's set is fixed at its
+//! start, in both representations, so an r-clique asleep then also waits
+//! for the next sweep (`FlagScan` picks it up in place if its position is
+//! still ahead).
 //!
 //! ## Flat container cache
 //!
@@ -215,63 +223,113 @@ fn drive<A: SweepAccess>(
     opts: AndOptions<'_>,
 ) -> Result<ConvergenceResult, Cancelled> {
     if cfg.parallel.threads <= 1 {
-        and_sequential(access, cfg, perm, opts)
+        and_sequential(access, cfg, perm, opts, access.len() / DENSE_FRONTIER_ALPHA)
     } else {
         and_parallel(access, cfg, perm, opts)
     }
 }
 
-/// The sequential driver's awake set under [`SweepMode::Frontier`]: a
-/// dedup-on-insert worklist swept in epochs (snapshot, sort by permutation
-/// rank, process) with a plain bool membership array and a plain `Vec`
-/// accumulator. Wake pushes are the hottest frontier operation (one per
-/// container member per update), so they must not pay test-and-set
-/// atomics.
+/// A sequential `Frontier` sweep scans the wake bitmap in permutation
+/// order, instead of sorting the worklist, while more than `n / α`
+/// r-cliques are queued at its start. α = 32: on `holme_kim(100 000, 8,
+/// 0.5)` (2 vCPUs) α ∈ {8, 32, 64} fell within noise of each other.
+const DENSE_FRONTIER_ALPHA: usize = 32;
+
+/// The sequential driver's awake set under [`SweepMode::Frontier`]: one
+/// frontier with two representations, as in direction-optimising BFS.
+///
+/// The plain bool array `queued` always holds the set. While few r-cliques
+/// are awake (at most `dense_above`), `next` lists them too: wakes
+/// test-and-push, and a sweep's snapshot is `next` sorted by permutation
+/// rank. While many are, a sweep's snapshot is `perm` filtered by `queued`
+/// in one linear pass, and its wakes only raise flags. Both snapshots hold
+/// the same set in the same order, so the representation never changes
+/// the trajectory. Wakes are the hottest frontier operation (one per
+/// container member per update), so neither form pays atomics.
 struct SeqFrontier {
     queued: Vec<bool>,
+    /// Exactly the queued r-cliques, while `listed`.
     next: Vec<u32>,
+    /// Whether `next` lists the awake set (the sparse representation).
+    listed: bool,
     rank: Vec<u32>,
     snapshot: Vec<u32>,
+    dense_above: usize,
 }
 
 impl SeqFrontier {
-    fn seeded(perm: &[u32]) -> Self {
+    fn seeded(perm: &[u32], dense_above: usize) -> Self {
         let n = perm.len();
         let mut rank = vec![0u32; n];
         for (k, &i) in perm.iter().enumerate() {
             rank[i as usize] = k as u32;
         }
-        let mut f = SeqFrontier {
-            queued: vec![false; n],
+        SeqFrontier {
+            queued: vec![true; n],
             next: Vec::with_capacity(n),
+            listed: false,
             rank,
             snapshot: Vec::with_capacity(n),
-        };
-        f.reschedule_all(perm);
-        f
-    }
-
-    #[inline]
-    fn push(&mut self, id: usize) {
-        if !self.queued[id] {
-            self.queued[id] = true;
-            self.next.push(id as u32);
+            dense_above,
         }
     }
 
-    /// Swaps the accumulated worklist into the sweep snapshot, ordered by
-    /// permutation rank. Membership flags stay set until `unmark`.
-    fn begin_sweep(&mut self) {
-        std::mem::swap(&mut self.snapshot, &mut self.next);
+    /// Fills the sweep snapshot with the queued r-cliques in permutation
+    /// order, and returns whether this sweep's wakes are dense (raise
+    /// flags only). Flags stay set until each r-clique is visited.
+    fn begin_sweep(&mut self, perm: &[u32]) -> bool {
+        if self.listed && self.next.len() <= self.dense_above {
+            std::mem::swap(&mut self.snapshot, &mut self.next);
+            let rank = &self.rank;
+            self.snapshot.sort_unstable_by_key(|&i| rank[i as usize]);
+        } else {
+            let queued = &self.queued;
+            self.snapshot.clear();
+            self.snapshot.extend(perm.iter().copied().filter(|&i| queued[i as usize]));
+        }
         self.next.clear();
-        let rank = &self.rank;
-        self.snapshot.sort_unstable_by_key(|&i| rank[i as usize]);
+        self.listed = self.snapshot.len() <= self.dense_above;
+        !self.listed
     }
 
-    fn reschedule_all(&mut self, perm: &[u32]) {
-        for &i in perm {
-            self.push(i as usize);
+    /// Runs one sweep over the snapshot and returns its update count.
+    /// Each r-clique is unmarked before it is recomputed, so a same-sweep
+    /// neighbor update re-schedules it (the paper's line 17). A `DENSE`
+    /// sweep's wakes only raise flags; a sparse one's also list the woken.
+    fn sweep<const DENSE: bool, A: SweepAccess>(
+        &mut self,
+        access: &A,
+        tau: &mut [u32],
+        buf: &mut HBuffer,
+        preserve: bool,
+    ) -> usize {
+        let SeqFrontier { queued, next, snapshot, .. } = self;
+        let mut updates = 0;
+        for &iu in snapshot.iter() {
+            let i = iu as usize;
+            queued[i] = false;
+            let old = tau[i];
+            let new = access.recompute(i, old, |o| tau[o], buf, preserve).min(old);
+            if new != old {
+                debug_assert!(new < old);
+                tau[i] = new;
+                updates += 1;
+                access.wake(i, |o| {
+                    if DENSE {
+                        queued[o] = true;
+                    } else if !queued[o] {
+                        queued[o] = true;
+                        next.push(o as u32);
+                    }
+                });
+            }
         }
+        updates
+    }
+
+    fn reschedule_all(&mut self) {
+        self.queued.fill(true);
+        self.listed = false;
     }
 }
 
@@ -280,6 +338,7 @@ fn and_sequential<A: SweepAccess>(
     cfg: &LocalConfig,
     perm: &[u32],
     opts: AndOptions<'_>,
+    dense_above: usize,
 ) -> Result<ConvergenceResult, Cancelled> {
     let AndOptions { notification, tau_init, cancel, mut observer } = opts;
     let mode = if notification { cfg.sweep_mode } else { SweepMode::FullScan };
@@ -288,8 +347,11 @@ fn and_sequential<A: SweepAccess>(
     let mut tau = tau_init.unwrap_or_else(|| access.initial());
     let mut buf = HBuffer::new();
 
-    let mut frontier =
-        if mode == SweepMode::Frontier { Some(SeqFrontier::seeded(perm)) } else { None };
+    let mut frontier = if mode == SweepMode::Frontier {
+        Some(SeqFrontier::seeded(perm, dense_above))
+    } else {
+        None
+    };
     // Wake flags, FlagScan only (all r-cliques start active, as in the
     // paper); the other modes never read them, so don't pay the O(n).
     let mut active = if mode == SweepMode::FlagScan { vec![true; n] } else { Vec::new() };
@@ -305,6 +367,9 @@ fn and_sequential<A: SweepAccess>(
             converged = true;
             break;
         }
+        if cfg.max_iterations.is_some_and(|cap| sweeps >= cap) {
+            break;
+        }
         if armed {
             cancel.check("and sweep")?;
         }
@@ -312,29 +377,14 @@ fn and_sequential<A: SweepAccess>(
         let mut processed = 0usize;
         match &mut frontier {
             Some(f) => {
-                f.begin_sweep();
-                for idx in 0..f.snapshot.len() {
-                    let i = f.snapshot[idx] as usize;
-                    // Unmark before recomputing: a same-sweep neighbor
-                    // update re-schedules us (the paper's line 17).
-                    f.queued[i] = false;
-                    processed += 1;
-                    let old = tau[i];
-                    let new =
-                        access.recompute(i, old, |o| tau[o], &mut buf, cfg.preserve_check).min(old);
-                    if new != old {
-                        debug_assert!(new < old);
-                        tau[i] = new;
-                        updates += 1;
-                        let SeqFrontier { queued, next, .. } = &mut *f;
-                        access.wake(i, |o| {
-                            if !queued[o] {
-                                queued[o] = true;
-                                next.push(o as u32);
-                            }
-                        });
-                    }
-                }
+                let dense = f.begin_sweep(perm);
+                processed = f.snapshot.len();
+                let preserve = cfg.preserve_check;
+                updates = if dense {
+                    f.sweep::<true, _>(access, &mut tau, &mut buf, preserve)
+                } else {
+                    f.sweep::<false, _>(access, &mut tau, &mut buf, preserve)
+                };
             }
             None => {
                 for &iu in perm {
@@ -377,7 +427,7 @@ fn and_sequential<A: SweepAccess>(
             // "nobody was awake"; certify with one full sweep.
             if processed < n {
                 match &mut frontier {
-                    Some(f) => f.reschedule_all(perm),
+                    Some(f) => f.reschedule_all(),
                     None => active.iter_mut().for_each(|a| *a = true),
                 }
                 continue;
@@ -387,11 +437,6 @@ fn and_sequential<A: SweepAccess>(
         }
         if cfg.stable_enough(updates, n) {
             break; // stability stopping rule: good enough, not exact
-        }
-        if let Some(cap) = cfg.max_iterations {
-            if sweeps >= cap {
-                break;
-            }
         }
     }
 
@@ -435,6 +480,9 @@ fn and_parallel<A: SweepAccess>(
     loop {
         if n == 0 {
             converged = true;
+            break;
+        }
+        if cfg.max_iterations.is_some_and(|cap| sweeps >= cap) {
             break;
         }
         if armed {
@@ -519,11 +567,6 @@ fn and_parallel<A: SweepAccess>(
         if cfg.stable_enough(u, n) {
             break; // stability stopping rule: good enough, not exact
         }
-        if let Some(cap) = cfg.max_iterations {
-            if sweeps >= cap {
-                break;
-            }
-        }
     }
 
     Ok(ConvergenceResult {
@@ -543,6 +586,7 @@ mod tests {
     use crate::snd::snd;
     use crate::space::{CoreSpace, Nucleus34Space, TrussSpace};
     use hdsd_graph::graph_from_edges;
+    use proptest::prelude::*;
 
     fn paper_fig2_graph() -> hdsd_graph::CsrGraph {
         graph_from_edges([(0, 4), (0, 1), (1, 2), (1, 3), (2, 3), (4, 5)])
@@ -709,14 +753,130 @@ mod tests {
         assert_eq!(r.tau, exact);
     }
 
+    /// `max_iterations` is a hard cap in every driver: at most `cap` sweeps,
+    /// τ ≥ κ pointwise, τ₀ itself at cap 0, and `converged` only for a
+    /// certified fixed point — a run the cap stops before its
+    /// certification sweep is not converged.
     #[test]
-    fn capped_and_still_upper_bounds_kappa() {
-        let g = hdsd_datasets::erdos_renyi_gnm(120, 500, 9);
-        let sp = CoreSpace::new(&g);
-        let exact = peel(&sp).kappa;
-        let r = and(&sp, &LocalConfig::sequential().max_iterations(1), &Order::Natural);
-        for (i, (&a, &k)) in r.tau.iter().zip(&exact).enumerate() {
-            assert!(a >= k, "τ[{i}]");
+    fn max_iterations_is_a_hard_cap_in_every_driver() {
+        let fig2 = paper_fig2_graph();
+        let gnm = hdsd_datasets::erdos_renyi_gnm(120, 500, 9);
+        for g in [&fig2, &gnm] {
+            let sp = CoreSpace::new(g);
+            let exact = peel(&sp).kappa;
+            let tau0 = sp.initial_degrees();
+            let run = |driver: &str, cap: Option<usize>| {
+                let mut cfg = match driver {
+                    "parallel and" => LocalConfig::with_threads(2),
+                    _ => LocalConfig::sequential(),
+                };
+                cfg.max_iterations = cap;
+                match driver {
+                    "snd" => snd(&sp, &cfg),
+                    _ => and(&sp, &cfg, &Order::Natural),
+                }
+            };
+            for driver in ["snd", "and", "parallel and"] {
+                let full = run(driver, None);
+                for cap in 0..=3 {
+                    let r = run(driver, Some(cap));
+                    let tag = format!("{driver} cap {cap} n {}", sp.num_cliques());
+                    assert!(r.sweeps <= cap, "{tag}: {} sweeps", r.sweeps);
+                    assert_eq!(r.processed_per_iter.len(), r.sweeps, "{tag}");
+                    assert!(r.tau.iter().zip(&exact).all(|(t, k)| t >= k), "{tag}: τ < κ");
+                    if cap == 0 {
+                        assert_eq!(r.tau, tau0, "{tag}");
+                    }
+                    if r.converged {
+                        assert_eq!(r.tau, exact, "{tag}");
+                        assert_eq!(r.updates_per_iter.last(), Some(&0), "{tag}");
+                    }
+                    if driver != "parallel and" {
+                        // Deterministic: the capped run is a prefix of the full one.
+                        assert_eq!(r.sweeps, cap.min(full.sweeps), "{tag}");
+                        assert_eq!(r.converged, cap >= full.sweeps, "{tag}");
+                    }
+                }
+            }
+        }
+        // The figure-2 run needs a certification sweep after its last
+        // update; a cap of 3 now stops short of it.
+        let sp = CoreSpace::new(&fig2);
+        let capped = and(&sp, &LocalConfig::sequential().max_iterations(3), &Order::Natural);
+        assert_eq!((capped.sweeps, capped.converged), (3, false));
+        // At cap 0 a warm start comes back untouched.
+        let warm: Vec<u32> = sp.initial_degrees().iter().map(|d| d + 1).collect();
+        for cfg in [LocalConfig::sequential(), LocalConfig::with_threads(2)] {
+            let opts = AndOptions { tau_init: Some(warm.clone()), ..AndOptions::default() };
+            let r = and_opts(&sp, &cfg.max_iterations(0), &Order::Natural, opts).expect("unarmed");
+            assert_eq!((r.tau, r.sweeps, r.converged), (warm.clone(), 0, false));
+        }
+    }
+
+    /// Sequential And under an explicit dense-frontier threshold.
+    fn and_dense_above<S: CliqueSpace>(
+        space: &S,
+        order: &Order,
+        tau_init: Option<Vec<u32>>,
+        dense_above: usize,
+    ) -> ConvergenceResult {
+        let cfg = LocalConfig::sequential();
+        let perm = order.permutation(space);
+        let opts = AndOptions { tau_init, ..AndOptions::default() };
+        match resolve_rows(space, cfg.container_cache_budget) {
+            Some(rows) => and_sequential(&FlatAccess(&rows), &cfg, &perm, opts, dense_above),
+            None => and_sequential(&WalkAccess(space), &cfg, &perm, opts, dense_above),
+        }
+        .expect("an unarmed token never cancels")
+    }
+
+    /// The frontier's representation never changes the trajectory: never
+    /// dense (the sorted worklist only), always dense, and the shipped
+    /// threshold give the same τ, sweeps and per-sweep counts, over every
+    /// order kind, cold and from a bumped stale κ.
+    fn assert_representations_agree<S: CliqueSpace>(space: &S, seed: u64) {
+        let n = space.num_cliques();
+        let p = peel(space);
+        // A stale κ bumped on every fifth r-clique: still an upper bound,
+        // so the run converges to κ, waking only the bumped regions.
+        let bumped: Vec<u32> = (0..n)
+            .map(|i| p.kappa[i] + if (i as u64 + seed).is_multiple_of(5) { 2 } else { 0 })
+            .collect();
+        let orders =
+            [Order::Natural, Order::Reverse, Order::Random(seed), Order::Custom(p.order.clone())];
+        for order in &orders {
+            for tau_init in [None, Some(bumped.clone())] {
+                let warm = tau_init.is_some();
+                let sparse = and_dense_above(space, order, tau_init.clone(), usize::MAX);
+                assert_eq!(sparse.tau, p.kappa, "{} {order:?} warm={warm}", space.name());
+                assert!(sparse.converged);
+                for dense_above in [0, n / DENSE_FRONTIER_ALPHA] {
+                    let r = and_dense_above(space, order, tau_init.clone(), dense_above);
+                    let tag =
+                        format!("{} {order:?} warm={warm} dense_above={dense_above}", space.name());
+                    assert_eq!(r.tau, sparse.tau, "{tag}");
+                    assert_eq!(r.sweeps, sparse.sweeps, "{tag}");
+                    assert_eq!(r.updates_per_iter, sparse.updates_per_iter, "{tag}");
+                    assert_eq!(r.processed_per_iter, sparse.processed_per_iter, "{tag}");
+                    assert_eq!(r.scheduler.items_skipped, 0, "{tag}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn one_frontier_two_representations(
+            n in 30u32..160,
+            m in 2u32..6,
+            seed in 0u64..10_000,
+        ) {
+            let g = hdsd_datasets::holme_kim(n, m, 0.6, seed);
+            assert_representations_agree(&CoreSpace::new(&g), seed);
+            assert_representations_agree(&TrussSpace::precomputed(&g), seed);
+            assert_representations_agree(&Nucleus34Space::precomputed(&g), seed);
         }
     }
 

@@ -6,11 +6,15 @@ use hdsd_parallel::{ParallelConfig, SchedulerStats};
 /// How And visits awake r-cliques within an iteration.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SweepMode {
-    /// Frontier scheduling: an explicit dedup-on-insert worklist of awake
-    /// r-cliques; per-iteration cost is `O(frontier)`, not `O(n)`. The
-    /// default — this is what makes late, nearly-converged iterations
-    /// cheap. The worklist is the sequential representation: with more
-    /// than one thread the awake set is the §4.2.1 flag bitmap scanned in
+    /// Frontier scheduling: visit only the awake r-cliques. The default —
+    /// this is what makes late, nearly-converged iterations cheap.
+    /// Sequentially the awake set has two representations: while more
+    /// than `n / 32` r-cliques are awake, an iteration scans the wake
+    /// bitmap in permutation order; below that it drains an explicit
+    /// dedup-on-insert worklist sorted by permutation rank, so its cost is
+    /// `O(frontier)`, not `O(n)`. Both visit the same r-cliques in the same
+    /// order, so the trajectory is the same. With more than one thread the
+    /// awake set is the §4.2.1 flag bitmap scanned in
     /// [`ParallelConfig::chunk`]-sized dynamic chunks, i.e. exactly what
     /// [`SweepMode::FlagScan`] runs in parallel.
     #[default]
@@ -36,9 +40,11 @@ pub const DEFAULT_CONTAINER_CACHE_BUDGET: usize = 256 << 20;
 pub struct LocalConfig {
     /// Thread/scheduling configuration.
     pub parallel: ParallelConfig,
-    /// Hard iteration cap; `None` runs to convergence. Capped runs are the
-    /// paper's approximation mode (τ_t is a valid upper bound on κ at every
-    /// t, by Theorem 1).
+    /// Hard iteration cap, checked before every sweep (the certification
+    /// sweep included); `None` runs to convergence. `Some(0)` returns τ₀
+    /// untouched. Capped runs are the paper's approximation mode (τ_t is a
+    /// valid upper bound on κ at every t, by Theorem 1), and a run the cap
+    /// stops before it certifies a fixed point reports `converged: false`.
     pub max_iterations: Option<usize>,
     /// Enable the §4.4 early-exit check ("once we see ≥ τ items with at
     /// least τ index, no more checks needed") before full recomputation.
@@ -158,8 +164,8 @@ pub struct ConvergenceResult {
     /// Total sweeps executed, including the final zero-update sweep that
     /// certifies convergence.
     pub sweeps: usize,
-    /// Whether the run reached a fixed point (false only when the
-    /// iteration cap stopped it first).
+    /// Whether the run reached a certified fixed point (false when the
+    /// iteration cap or the stability rule stopped it first).
     pub converged: bool,
     /// τ-updates per sweep.
     pub updates_per_iter: Vec<usize>,

@@ -19,7 +19,7 @@ use crate::space::{resolve_rows, CliqueSpace, FlatAccess, SweepAccess, WalkAcces
 
 /// Runs Snd to convergence (or the configured iteration cap).
 pub fn snd<S: CliqueSpace>(space: &S, cfg: &LocalConfig) -> ConvergenceResult {
-    snd_with_observer(space, cfg, &mut |_| {})
+    snd_run(space, cfg, None)
 }
 
 /// Runs Snd, invoking `observer` after every iteration with the fresh τ
@@ -35,6 +35,14 @@ pub fn snd_with_observer<S: CliqueSpace>(
     cfg: &LocalConfig,
     observer: &mut dyn FnMut(IterationEvent<'_>),
 ) -> ConvergenceResult {
+    snd_run(space, cfg, Some(observer))
+}
+
+fn snd_run<S: CliqueSpace>(
+    space: &S,
+    cfg: &LocalConfig,
+    observer: Option<&mut dyn FnMut(IterationEvent<'_>)>,
+) -> ConvergenceResult {
     match resolve_rows(space, cfg.container_cache_budget) {
         Some(rows) => snd_driver(&FlatAccess(&rows), cfg, observer),
         None => snd_driver(&WalkAccess(space), cfg, observer),
@@ -44,12 +52,13 @@ pub fn snd_with_observer<S: CliqueSpace>(
 fn snd_driver<A: SweepAccess>(
     access: &A,
     cfg: &LocalConfig,
-    observer: &mut dyn FnMut(IterationEvent<'_>),
+    mut observer: Option<&mut dyn FnMut(IterationEvent<'_>)>,
 ) -> ConvergenceResult {
     let n = access.len();
     let tau = AtomicU32Vec::from_vec(access.initial());
     let mut tau_prev = vec![0u32; n];
-    let mut tau_snapshot = vec![0u32; n];
+    // Filled only for an observer: nobody else reads a per-sweep copy.
+    let mut tau_snapshot = Vec::new();
 
     let mut scheduler = SchedulerStats::default();
     let mut updates_per_iter = Vec::new();
@@ -60,6 +69,9 @@ fn snd_driver<A: SweepAccess>(
     loop {
         if n == 0 {
             converged = true;
+            break;
+        }
+        if cfg.max_iterations.is_some_and(|cap| sweeps >= cap) {
             break;
         }
         tau.copy_to_slice(&mut tau_prev);
@@ -90,13 +102,16 @@ fn snd_driver<A: SweepAccess>(
         let u = updates.load(Ordering::Relaxed);
         updates_per_iter.push(u);
         processed_per_iter.push(n);
-        tau.copy_to_slice(&mut tau_snapshot);
-        observer(IterationEvent {
-            iteration: sweeps,
-            tau: &tau_snapshot,
-            updates: u,
-            processed: n,
-        });
+        if let Some(observe) = observer.as_mut() {
+            tau_snapshot.resize(n, 0);
+            tau.copy_to_slice(&mut tau_snapshot);
+            observe(IterationEvent {
+                iteration: sweeps,
+                tau: &tau_snapshot,
+                updates: u,
+                processed: n,
+            });
+        }
 
         if u == 0 {
             converged = true;
@@ -104,11 +119,6 @@ fn snd_driver<A: SweepAccess>(
         }
         if cfg.stable_enough(u, n) {
             break; // stability stopping rule: good enough, not exact
-        }
-        if let Some(cap) = cfg.max_iterations {
-            if sweeps >= cap {
-                break;
-            }
         }
     }
 
