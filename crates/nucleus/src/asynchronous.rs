@@ -14,21 +14,18 @@
 //! awake set is *scheduled* is a separate choice ([`crate::SweepMode`]):
 //!
 //! * [`SweepMode::Frontier`] (default) visits only the awake r-cliques.
-//!   Sequentially it is one frontier with two representations, as in
-//!   direction-optimising BFS. While more than `n / 32` r-cliques are
-//!   awake at the start of a sweep, the sweep scans the wake bitmap in
-//!   permutation order in one linear pass and its wakes only raise flags.
-//!   Otherwise the awake set is also an explicit dedup-on-insert worklist,
-//!   sorted by permutation rank, so late, nearly-converged sweeps cost
-//!   `O(|frontier|)`, not `O(n)`, and touch only the handful of r-cliques
-//!   that can still change. Both forms visit the same r-cliques in the
-//!   same order, so the trajectory never depends on which one runs. With
-//!   more than one thread the awake set is the flag bitmap below (see
-//!   "Parallel variant").
+//!   Sequentially a wake only raises the r-clique's flag, and each sweep
+//!   starts with one linear pass over the permutation that collects the
+//!   flagged r-cliques, in permutation order, into the sweep's snapshot.
+//!   Scheduling costs one tight `O(n)` bitmap filter per sweep and one
+//!   store per wake. With more than one thread the awake set is the flag
+//!   bitmap below (see "Parallel variant").
 //! * [`SweepMode::FlagScan`] is the paper's literal formulation: walk the
-//!   full permutation every sweep and test the wake flag per r-clique. It
-//!   recomputes the same r-cliques as `Frontier` but pays `O(n)` idle flag
-//!   checks per sweep (counted in `SchedulerStats::items_skipped`).
+//!   full permutation every sweep and test the wake flag per r-clique as
+//!   it goes (each idle one counted in `SchedulerStats::items_skipped`).
+//!   Picking up mid-sweep wakes in place (below) costs it recomputations:
+//!   25 % more than `Frontier` for core on a 100 000-vertex Holme–Kim
+//!   graph.
 //! * [`SweepMode::FullScan`] disables notification entirely (the Figure-8
 //!   ablation baseline): every sweep recomputes every r-clique.
 //!
@@ -36,9 +33,8 @@
 //! it still awaits processing in the current sweep is visited once, in
 //! place, with the newer τ values; one woken after its visit is scheduled
 //! for the next sweep. Under `Frontier` a sweep's set is fixed at its
-//! start, in both representations, so an r-clique asleep then also waits
-//! for the next sweep (`FlagScan` picks it up in place if its position is
-//! still ahead).
+//! start, so an r-clique asleep then also waits for the next sweep
+//! (`FlagScan` picks it up in place if its position is still ahead).
 //!
 //! ## Flat container cache
 //!
@@ -223,87 +219,48 @@ fn drive<A: SweepAccess>(
     opts: AndOptions<'_>,
 ) -> Result<ConvergenceResult, Cancelled> {
     if cfg.parallel.threads <= 1 {
-        and_sequential(access, cfg, perm, opts, access.len() / DENSE_FRONTIER_ALPHA)
+        and_sequential(access, cfg, perm, opts)
     } else {
         and_parallel(access, cfg, perm, opts)
     }
 }
 
-/// A sequential `Frontier` sweep scans the wake bitmap in permutation
-/// order, instead of sorting the worklist, while more than `n / α`
-/// r-cliques are queued at its start. α = 32: on `holme_kim(100 000, 8,
-/// 0.5)` (2 vCPUs) α ∈ {8, 32, 64} fell within noise of each other.
-const DENSE_FRONTIER_ALPHA: usize = 32;
-
-/// The sequential driver's awake set under [`SweepMode::Frontier`]: one
-/// frontier with two representations, as in direction-optimising BFS.
+/// The sequential driver's awake set under [`SweepMode::Frontier`].
 ///
-/// The plain bool array `queued` always holds the set. While few r-cliques
-/// are awake (at most `dense_above`), `next` lists them too: wakes
-/// test-and-push, and a sweep's snapshot is `next` sorted by permutation
-/// rank. While many are, a sweep's snapshot is `perm` filtered by `queued`
-/// in one linear pass, and its wakes only raise flags. Both snapshots hold
-/// the same set in the same order, so the representation never changes
-/// the trajectory. Wakes are the hottest frontier operation (one per
-/// container member per update), so neither form pays atomics.
+/// A plain bool array holds the set. A wake, the hottest frontier
+/// operation (one per container member per update), is one plain store
+/// into it. A sweep's snapshot is `perm` filtered by the flags in one
+/// linear pass, so it holds the awake set in permutation order and is
+/// fixed at the sweep's start.
 struct SeqFrontier {
     queued: Vec<bool>,
-    /// Exactly the queued r-cliques, while `listed`.
-    next: Vec<u32>,
-    /// Whether `next` lists the awake set (the sparse representation).
-    listed: bool,
-    rank: Vec<u32>,
     snapshot: Vec<u32>,
-    dense_above: usize,
 }
 
 impl SeqFrontier {
-    fn seeded(perm: &[u32], dense_above: usize) -> Self {
-        let n = perm.len();
-        let mut rank = vec![0u32; n];
-        for (k, &i) in perm.iter().enumerate() {
-            rank[i as usize] = k as u32;
-        }
-        SeqFrontier {
-            queued: vec![true; n],
-            next: Vec::with_capacity(n),
-            listed: false,
-            rank,
-            snapshot: Vec::with_capacity(n),
-            dense_above,
-        }
+    fn seeded(n: usize) -> Self {
+        SeqFrontier { queued: vec![true; n], snapshot: Vec::with_capacity(n) }
     }
 
     /// Fills the sweep snapshot with the queued r-cliques in permutation
-    /// order, and returns whether this sweep's wakes are dense (raise
-    /// flags only). Flags stay set until each r-clique is visited.
-    fn begin_sweep(&mut self, perm: &[u32]) -> bool {
-        if self.listed && self.next.len() <= self.dense_above {
-            std::mem::swap(&mut self.snapshot, &mut self.next);
-            let rank = &self.rank;
-            self.snapshot.sort_unstable_by_key(|&i| rank[i as usize]);
-        } else {
-            let queued = &self.queued;
-            self.snapshot.clear();
-            self.snapshot.extend(perm.iter().copied().filter(|&i| queued[i as usize]));
-        }
-        self.next.clear();
-        self.listed = self.snapshot.len() <= self.dense_above;
-        !self.listed
+    /// order. Flags stay set until each r-clique is visited.
+    fn begin_sweep(&mut self, perm: &[u32]) {
+        let queued = &self.queued;
+        self.snapshot.clear();
+        self.snapshot.extend(perm.iter().copied().filter(|&i| queued[i as usize]));
     }
 
     /// Runs one sweep over the snapshot and returns its update count.
-    /// Each r-clique is unmarked before it is recomputed, so a same-sweep
-    /// neighbor update re-schedules it (the paper's line 17). A `DENSE`
-    /// sweep's wakes only raise flags; a sparse one's also list the woken.
-    fn sweep<const DENSE: bool, A: SweepAccess>(
+    /// Each r-clique is unflagged before it is recomputed, so a same-sweep
+    /// neighbor update re-schedules it (the paper's line 17).
+    fn sweep<A: SweepAccess>(
         &mut self,
         access: &A,
         tau: &mut [u32],
         buf: &mut HBuffer,
         preserve: bool,
     ) -> usize {
-        let SeqFrontier { queued, next, snapshot, .. } = self;
+        let SeqFrontier { queued, snapshot } = self;
         let mut updates = 0;
         for &iu in snapshot.iter() {
             let i = iu as usize;
@@ -314,22 +271,10 @@ impl SeqFrontier {
                 debug_assert!(new < old);
                 tau[i] = new;
                 updates += 1;
-                access.wake(i, |o| {
-                    if DENSE {
-                        queued[o] = true;
-                    } else if !queued[o] {
-                        queued[o] = true;
-                        next.push(o as u32);
-                    }
-                });
+                access.wake(i, |o| queued[o] = true);
             }
         }
         updates
-    }
-
-    fn reschedule_all(&mut self) {
-        self.queued.fill(true);
-        self.listed = false;
     }
 }
 
@@ -338,7 +283,6 @@ fn and_sequential<A: SweepAccess>(
     cfg: &LocalConfig,
     perm: &[u32],
     opts: AndOptions<'_>,
-    dense_above: usize,
 ) -> Result<ConvergenceResult, Cancelled> {
     let AndOptions { notification, tau_init, cancel, mut observer } = opts;
     let mode = if notification { cfg.sweep_mode } else { SweepMode::FullScan };
@@ -347,11 +291,8 @@ fn and_sequential<A: SweepAccess>(
     let mut tau = tau_init.unwrap_or_else(|| access.initial());
     let mut buf = HBuffer::new();
 
-    let mut frontier = if mode == SweepMode::Frontier {
-        Some(SeqFrontier::seeded(perm, dense_above))
-    } else {
-        None
-    };
+    let mut frontier =
+        if mode == SweepMode::Frontier { Some(SeqFrontier::seeded(n)) } else { None };
     // Wake flags, FlagScan only (all r-cliques start active, as in the
     // paper); the other modes never read them, so don't pay the O(n).
     let mut active = if mode == SweepMode::FlagScan { vec![true; n] } else { Vec::new() };
@@ -377,14 +318,9 @@ fn and_sequential<A: SweepAccess>(
         let mut processed = 0usize;
         match &mut frontier {
             Some(f) => {
-                let dense = f.begin_sweep(perm);
+                f.begin_sweep(perm);
                 processed = f.snapshot.len();
-                let preserve = cfg.preserve_check;
-                updates = if dense {
-                    f.sweep::<true, _>(access, &mut tau, &mut buf, preserve)
-                } else {
-                    f.sweep::<false, _>(access, &mut tau, &mut buf, preserve)
-                };
+                updates = f.sweep(access, &mut tau, &mut buf, cfg.preserve_check);
             }
             None => {
                 for &iu in perm {
@@ -427,7 +363,7 @@ fn and_sequential<A: SweepAccess>(
             // "nobody was awake"; certify with one full sweep.
             if processed < n {
                 match &mut frontier {
-                    Some(f) => f.reschedule_all(),
+                    Some(f) => f.queued.fill(true),
                     None => active.iter_mut().for_each(|a| *a = true),
                 }
                 continue;
@@ -813,28 +749,63 @@ mod tests {
         }
     }
 
-    /// Sequential And under an explicit dense-frontier threshold.
-    fn and_dense_above<S: CliqueSpace>(
+    /// The `Frontier` schedule written as an ordered worklist keyed by
+    /// permutation rank: a sweep pops its set in rank order; a wake queues
+    /// an r-clique for the next sweep unless it is still pending in this
+    /// one. Returns τ and the per-sweep updates and processed counts.
+    fn rank_worklist_reference<S: CliqueSpace>(
         space: &S,
-        order: &Order,
+        perm: &[u32],
         tau_init: Option<Vec<u32>>,
-        dense_above: usize,
-    ) -> ConvergenceResult {
-        let cfg = LocalConfig::sequential();
-        let perm = order.permutation(space);
-        let opts = AndOptions { tau_init, ..AndOptions::default() };
-        match resolve_rows(space, cfg.container_cache_budget) {
-            Some(rows) => and_sequential(&FlatAccess(&rows), &cfg, &perm, opts, dense_above),
-            None => and_sequential(&WalkAccess(space), &cfg, &perm, opts, dense_above),
+    ) -> (Vec<u32>, Vec<usize>, Vec<usize>) {
+        use std::collections::BTreeSet;
+        let access = WalkAccess(space);
+        let n = perm.len();
+        let mut rank = vec![0usize; n];
+        for (k, &i) in perm.iter().enumerate() {
+            rank[i as usize] = k;
         }
-        .expect("an unarmed token never cancels")
+        let mut tau = tau_init.unwrap_or_else(|| access.initial());
+        let mut buf = HBuffer::new();
+        let (mut updates_per_iter, mut processed_per_iter) = (Vec::new(), Vec::new());
+        let mut next: BTreeSet<usize> = (0..n).collect();
+        loop {
+            if n == 0 {
+                break;
+            }
+            let mut pending = std::mem::take(&mut next);
+            let (mut updates, mut processed) = (0, 0);
+            while let Some(k) = pending.pop_first() {
+                let i = perm[k] as usize;
+                processed += 1;
+                let old = tau[i];
+                let new = access.recompute(i, old, |o| tau[o], &mut buf, true).min(old);
+                if new != old {
+                    tau[i] = new;
+                    updates += 1;
+                    access.wake(i, |o| {
+                        if !pending.contains(&rank[o]) {
+                            next.insert(rank[o]);
+                        }
+                    });
+                }
+            }
+            updates_per_iter.push(updates);
+            processed_per_iter.push(processed);
+            if updates == 0 {
+                if processed == n {
+                    break;
+                }
+                next = (0..n).collect(); // the certification sweep
+            }
+        }
+        (tau, updates_per_iter, processed_per_iter)
     }
 
-    /// The frontier's representation never changes the trajectory: never
-    /// dense (the sorted worklist only), always dense, and the shipped
-    /// threshold give the same τ, sweeps and per-sweep counts, over every
-    /// order kind, cold and from a bumped stale κ.
-    fn assert_representations_agree<S: CliqueSpace>(space: &S, seed: u64) {
+    /// The bitmap-filtered snapshot schedules exactly as the rank-ordered
+    /// worklist: same τ, sweeps and per-sweep counts, over every order
+    /// kind, cold and from a bumped stale κ.
+    fn assert_frontier_matches_reference<S: CliqueSpace>(space: &S, seed: u64) {
         let n = space.num_cliques();
         let p = peel(space);
         // A stale κ bumped on every fifth r-clique: still an upper bound,
@@ -846,20 +817,18 @@ mod tests {
             [Order::Natural, Order::Reverse, Order::Random(seed), Order::Custom(p.order.clone())];
         for order in &orders {
             for tau_init in [None, Some(bumped.clone())] {
-                let warm = tau_init.is_some();
-                let sparse = and_dense_above(space, order, tau_init.clone(), usize::MAX);
-                assert_eq!(sparse.tau, p.kappa, "{} {order:?} warm={warm}", space.name());
-                assert!(sparse.converged);
-                for dense_above in [0, n / DENSE_FRONTIER_ALPHA] {
-                    let r = and_dense_above(space, order, tau_init.clone(), dense_above);
-                    let tag =
-                        format!("{} {order:?} warm={warm} dense_above={dense_above}", space.name());
-                    assert_eq!(r.tau, sparse.tau, "{tag}");
-                    assert_eq!(r.sweeps, sparse.sweeps, "{tag}");
-                    assert_eq!(r.updates_per_iter, sparse.updates_per_iter, "{tag}");
-                    assert_eq!(r.processed_per_iter, sparse.processed_per_iter, "{tag}");
-                    assert_eq!(r.scheduler.items_skipped, 0, "{tag}");
-                }
+                let tag = format!("{} {order:?} warm={}", space.name(), tau_init.is_some());
+                let (tau, updates, processed) =
+                    rank_worklist_reference(space, &order.permutation(space), tau_init.clone());
+                let opts = AndOptions { tau_init, ..AndOptions::default() };
+                let r = and_opts(space, &LocalConfig::sequential(), order, opts).expect("unarmed");
+                assert_eq!(r.tau, p.kappa, "{tag}");
+                assert!(r.converged, "{tag}");
+                assert_eq!(r.tau, tau, "{tag}");
+                assert_eq!(r.updates_per_iter, updates, "{tag}");
+                assert_eq!(r.processed_per_iter, processed, "{tag}");
+                assert_eq!(r.sweeps, processed.len(), "{tag}");
+                assert_eq!(r.scheduler.items_skipped, 0, "{tag}");
             }
         }
     }
@@ -868,15 +837,15 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
         #[test]
-        fn one_frontier_two_representations(
+        fn frontier_schedules_like_a_rank_ordered_worklist(
             n in 30u32..160,
             m in 2u32..6,
             seed in 0u64..10_000,
         ) {
             let g = hdsd_datasets::holme_kim(n, m, 0.6, seed);
-            assert_representations_agree(&CoreSpace::new(&g), seed);
-            assert_representations_agree(&TrussSpace::precomputed(&g), seed);
-            assert_representations_agree(&Nucleus34Space::precomputed(&g), seed);
+            assert_frontier_matches_reference(&CoreSpace::new(&g), seed);
+            assert_frontier_matches_reference(&TrussSpace::precomputed(&g), seed);
+            assert_frontier_matches_reference(&Nucleus34Space::precomputed(&g), seed);
         }
     }
 

@@ -8,12 +8,10 @@ use hdsd_parallel::{ParallelConfig, SchedulerStats};
 pub enum SweepMode {
     /// Frontier scheduling: visit only the awake r-cliques. The default —
     /// this is what makes late, nearly-converged iterations cheap.
-    /// Sequentially the awake set has two representations: while more
-    /// than `n / 32` r-cliques are awake, an iteration scans the wake
-    /// bitmap in permutation order; below that it drains an explicit
-    /// dedup-on-insert worklist sorted by permutation rank, so its cost is
-    /// `O(frontier)`, not `O(n)`. Both visit the same r-cliques in the same
-    /// order, so the trajectory is the same. With more than one thread the
+    /// Sequentially a wake only raises a flag, and each iteration starts
+    /// with one linear pass that filters the permutation by those flags,
+    /// so it costs `O(n)` cheap flag reads plus `O(frontier)`
+    /// recomputations. With more than one thread the
     /// awake set is the §4.2.1 flag bitmap scanned in
     /// [`ParallelConfig::chunk`]-sized dynamic chunks, i.e. exactly what
     /// [`SweepMode::FlagScan`] runs in parallel.

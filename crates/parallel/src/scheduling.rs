@@ -26,9 +26,9 @@ pub enum Policy {
 /// `items_processed` / `items_skipped` are filled in by the *callers* of the
 /// scheduling primitives (the decomposition sweeps), which are the only
 /// layer that knows whether an index was real work or an idle flag-check:
-/// the sequential frontier keeps `items_skipped` at 0 by construction — its
-/// dense sweeps do scan the wake bitmap to build their snapshot, but that
-/// scan visits nothing — while a flag scan accumulates one skip per idle
+/// the sequential frontier keeps `items_skipped` at 0 by construction — it
+/// does scan the wake bitmap to build each sweep's snapshot, but that scan
+/// visits nothing — while a flag scan accumulates one skip per idle
 /// r-clique visited.
 #[derive(Clone, Debug, Default)]
 pub struct SchedulerStats {

@@ -1,4 +1,4 @@
-//! Frontier-scheduling correctness: the worklist-driven And must be
+//! Frontier-scheduling correctness: the frontier-driven And must be
 //! indistinguishable from the ground truth (peeling) and from the other
 //! sweep modes on *results*, while doing strictly less scanning work.
 //!
@@ -7,7 +7,7 @@
 //! graph with a long convergence tail (the workload the frontier exists
 //! for). With more than one thread the awake set is the chunked flag scan
 //! in every notification mode, so the parallel runs are held to exactness
-//! and to the scan identity instead of the worklist contract.
+//! and to the scan identity instead of the frontier contract.
 
 use hdsd::datasets::{erdos_renyi_gnm, holme_kim};
 use hdsd::nucleus::Vertex13Space;
