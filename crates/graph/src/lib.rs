@@ -48,5 +48,5 @@ pub use delta::{
 };
 pub use io::{read_edge_list, read_graph_binary, write_edge_list, write_graph_binary};
 pub use orientation::{degeneracy_order, degree_order, Orientation, VertexOrder};
-pub use subgraph::{density, induced_subgraph, InducedSubgraph};
+pub use subgraph::{density, density_of, induced_subgraph, InducedSubgraph};
 pub use triangles::{count_triangles_per_edge, for_each_triangle, total_triangles, TriangleList};

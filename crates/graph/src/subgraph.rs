@@ -1,4 +1,7 @@
-//! Induced subgraphs and density, used when materializing nuclei.
+//! Induced subgraphs and density. A nucleus's density is counted on the
+//! graph without building its subgraph ([`density_of`] is the shared
+//! formula); [`induced_subgraph`] is the independent reference for that
+//! count.
 
 use crate::builder::GraphBuilder;
 use crate::csr::{CsrGraph, VertexId};
@@ -42,11 +45,19 @@ pub fn induced_subgraph(g: &CsrGraph, verts: &[VertexId]) -> InducedSubgraph {
 /// Graph density `2|E| / (|V| (|V|-1))`; `0.0` when `|V| < 2`.
 /// This is the density definition the paper uses to compare nuclei quality.
 pub fn density(g: &CsrGraph) -> f64 {
-    let n = g.num_vertices() as f64;
+    density_of(g.num_vertices(), g.num_edges())
+}
+
+/// Density `2|E| / (|V| (|V|-1))` of a vertex set with `vertices`
+/// vertices and `edges` induced edges; `0.0` when `|V| < 2`. The one
+/// formula behind [`density`], for callers that count the edges without
+/// building the subgraph.
+pub fn density_of(vertices: usize, edges: usize) -> f64 {
+    let n = vertices as f64;
     if n < 2.0 {
         return 0.0;
     }
-    2.0 * g.num_edges() as f64 / (n * (n - 1.0))
+    2.0 * edges as f64 / (n * (n - 1.0))
 }
 
 #[cfg(test)]

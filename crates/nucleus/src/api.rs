@@ -31,7 +31,8 @@ pub fn nucleus34_numbers(g: &CsrGraph) -> (hdsd_graph::TriangleList, Vec<u32>) {
 /// vertices, or `None` when the graph has no s-cliques.
 ///
 /// Density here is the paper's `2|E| / (|V| (|V|−1))` on the nucleus's
-/// induced subgraph; the `min_vertices` floor filters out trivial
+/// induced subgraph, counted by [`crate::hierarchy::Hierarchy::materialize`]
+/// without building it; the `min_vertices` floor filters out trivial
 /// near-clique leaves.
 pub fn densest_nucleus<S: CliqueSpace>(
     space: &S,
@@ -40,14 +41,14 @@ pub fn densest_nucleus<S: CliqueSpace>(
 ) -> Option<(NucleusDensity, Vec<VertexId>)> {
     let kappa = peel(space).kappa;
     let forest = build_hierarchy(space, &kappa);
-    let mut best: Option<(NucleusDensity, u32)> = None;
+    let mut best: Option<(NucleusDensity, Vec<VertexId>)> = None;
     for id in 0..forest.len() as u32 {
-        let d = forest.node_density(id, space, g);
-        if d.vertices >= min_vertices && best.is_none_or(|(b, _)| d.density > b.density) {
-            best = Some((d, id));
+        let (d, vertices) = forest.materialize(id, space, g);
+        if d.vertices >= min_vertices && best.as_ref().is_none_or(|(b, _)| d.density > b.density) {
+            best = Some((d, vertices));
         }
     }
-    best.map(|(d, id)| (d, forest.member_vertices(id, space)))
+    best
 }
 
 /// The maximum core of a vertex: the maximal connected subgraph around `v`

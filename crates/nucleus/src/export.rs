@@ -328,8 +328,11 @@ pub fn write_kappa_tsv<S: CliqueSpace>(
 /// Renders the nucleus forest as a GraphViz `digraph`: one box per nucleus
 /// labelled `k / size / density`, edges from parent to child.
 ///
-/// Densities require materializing each node's vertex set; for very large
-/// forests pass `with_density = false` to skip that cost.
+/// Each density walks the node's subtree once, marks its vertices in a
+/// bitset of one bit per graph vertex and scans their adjacency; no
+/// subgraph is built. Per node that is `n / 64` words plus its members'
+/// degrees; for very large forests pass `with_density = false` to skip
+/// that cost.
 pub fn write_hierarchy_dot<S: CliqueSpace>(
     hierarchy: &Hierarchy,
     space: &S,

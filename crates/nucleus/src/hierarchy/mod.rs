@@ -31,6 +31,12 @@
 //! under the merged node, and two nodes of the *same* threshold merge
 //! **smaller into larger**, so a `children`/`own_cliques` entry moves
 //! O(log n) times over the whole build however the ids are ordered.
+//!
+//! Reading a nucleus back ([`Hierarchy::materialize`]) walks its subtree
+//! once and sets its cliques' vertices in a bitset of one bit per vertex.
+//! The set bits are the sorted vertex set, and the density is counted on
+//! the graph itself (marked neighbours of marked vertices): the induced
+//! subgraph is never built.
 
 pub mod canonical;
 pub mod repair;
@@ -38,7 +44,7 @@ pub mod repair;
 pub use canonical::assert_forest_eq;
 pub use repair::{repair_hierarchy, RepairStats};
 
-use hdsd_graph::{density, induced_subgraph, CsrGraph, VertexId};
+use hdsd_graph::{density_of, CsrGraph, VertexId};
 
 use crate::cancel::{CancelToken, Cancelled};
 use crate::space::{others_per_container, CliqueSpace};
@@ -95,32 +101,78 @@ impl Hierarchy {
         out
     }
 
-    /// Vertex set of node `id`, resolved through the space.
+    /// Vertex set of node `id`, resolved through the space: the vertex
+    /// half of [`Hierarchy::materialize`], sorted and deduplicated.
     pub fn member_vertices<S: CliqueSpace>(&self, id: u32, space: &S) -> Vec<VertexId> {
-        let mut verts = Vec::new();
-        for c in self.member_cliques(id) {
-            space.vertices_of(c as usize, &mut verts);
-        }
-        verts.sort_unstable();
-        verts.dedup();
-        verts
+        self.mark_members(id, space, 0).to_vec()
     }
 
-    /// Density report of node `id`: the induced subgraph over the
-    /// nucleus's vertices.
+    /// Density report of node `id`: the density half of
+    /// [`Hierarchy::materialize`].
     pub fn node_density<S: CliqueSpace>(
         &self,
         id: u32,
         space: &S,
         graph: &CsrGraph,
     ) -> NucleusDensity {
-        let verts = self.member_vertices(id, space);
-        let sub = induced_subgraph(graph, &verts);
+        let members = self.mark_members(id, space, graph.num_vertices());
+        self.density_over(id, &members, graph)
+    }
+
+    /// Node `id` materialized in one walk of its subtree: its density
+    /// report and its sorted vertex set.
+    ///
+    /// The walk sets every member clique's vertices in a bitset of one bit
+    /// per graph vertex. The set bits, read in order, are the sorted,
+    /// deduplicated vertex set, and the induced edges are the marked
+    /// neighbours of marked vertices, halved. No clique list, sort or
+    /// induced subgraph is built.
+    pub fn materialize<S: CliqueSpace>(
+        &self,
+        id: u32,
+        space: &S,
+        graph: &CsrGraph,
+    ) -> (NucleusDensity, Vec<VertexId>) {
+        let members = self.mark_members(id, space, graph.num_vertices());
+        (self.density_over(id, &members, graph), members.to_vec())
+    }
+
+    /// The vertices of every member clique of node `id` (own cliques of
+    /// the node and of all its descendants), as a bitset presized for
+    /// `num_vertices` vertices.
+    fn mark_members<S: CliqueSpace>(&self, id: u32, space: &S, num_vertices: usize) -> VertexBits {
+        let mut members = VertexBits::with_capacity(num_vertices);
+        let mut verts = Vec::new();
+        let mut stack = vec![id];
+        while let Some(n) = stack.pop() {
+            let node = &self.nodes[n as usize];
+            for &c in &node.own_cliques {
+                verts.clear();
+                space.vertices_of(c as usize, &mut verts);
+                for &v in &verts {
+                    members.insert(v);
+                }
+            }
+            stack.extend_from_slice(&node.children);
+        }
+        members
+    }
+
+    /// Density of node `id` whose vertices are `members`: every induced
+    /// edge is seen once from each endpoint.
+    fn density_over(&self, id: u32, members: &VertexBits, graph: &CsrGraph) -> NucleusDensity {
+        let mut vertices = 0;
+        let mut ends = 0;
+        for v in members.iter() {
+            vertices += 1;
+            ends += graph.neighbors(v).iter().filter(|&&w| members.contains(w)).count();
+        }
+        let edges = ends / 2;
         NucleusDensity {
             k: self.nodes[id as usize].k,
-            vertices: sub.graph.num_vertices(),
-            edges: sub.graph.num_edges(),
-            density: density(&sub.graph),
+            vertices,
+            edges,
+            density: density_of(vertices, edges),
         }
     }
 
@@ -175,17 +227,64 @@ impl Hierarchy {
     }
 }
 
-/// Density summary of one nucleus.
+/// Density summary of one nucleus, counted on the graph itself: no
+/// induced subgraph is built.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NucleusDensity {
     /// Nucleus threshold k.
     pub k: u32,
-    /// Vertices in the materialized subgraph.
+    /// Vertices of the nucleus.
     pub vertices: usize,
-    /// Edges in the materialized subgraph.
+    /// Graph edges with both endpoints in the nucleus (the edges of its
+    /// induced subgraph).
     pub edges: usize,
-    /// `2|E| / (|V| (|V|−1))`.
+    /// `2|E| / (|V| (|V|−1))`; `0.0` when `|V| < 2`.
     pub density: f64,
+}
+
+/// A vertex set as one bit per vertex id: the scratch of one
+/// materialization, 1/32 the size of a `u32` per vertex.
+struct VertexBits(Vec<u64>);
+
+impl VertexBits {
+    /// An empty set with room for ids below `num_vertices`; larger ids
+    /// grow it.
+    fn with_capacity(num_vertices: usize) -> Self {
+        VertexBits(vec![0; num_vertices.div_ceil(64)])
+    }
+
+    fn insert(&mut self, v: VertexId) {
+        let word = v as usize / 64;
+        if word >= self.0.len() {
+            self.0.resize(word + 1, 0);
+        }
+        self.0[word] |= 1 << (v % 64);
+    }
+
+    fn contains(&self, v: VertexId) -> bool {
+        self.0.get(v as usize / 64).is_some_and(|&w| w >> (v % 64) & 1 == 1)
+    }
+
+    /// The members in ascending order.
+    fn iter(&self) -> impl Iterator<Item = VertexId> + '_ {
+        self.0.iter().enumerate().flat_map(|(i, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    i as VertexId * 64 + bit
+                })
+            })
+        })
+    }
+
+    fn to_vec(&self) -> Vec<VertexId> {
+        let len = self.0.iter().map(|w| w.count_ones() as usize).sum();
+        let mut out = Vec::with_capacity(len);
+        out.extend(self.iter());
+        out
+    }
 }
 
 /// Builds the nucleus forest from exact κ indices (from [`crate::peel()`]

@@ -228,9 +228,11 @@ pub struct RegionReport {
     pub k: u32,
     /// r-cliques in the region.
     pub size: usize,
-    /// The region's vertex set.
+    /// The region's vertex set, ascending.
     pub vertices: Vec<VertexId>,
-    /// Density summary of the induced subgraph.
+    /// Density summary of the region's induced edges, counted on the graph
+    /// in the same subtree walk that collects `vertices` (no subgraph is
+    /// built).
     pub density: NucleusDensity,
 }
 
@@ -634,8 +636,7 @@ impl EngineView {
 
     fn materialize_node(&self, st: &SpaceView, node: u32) -> RegionReport {
         let hi = st.hierarchy.get().expect("materialize_node follows ensure_hierarchy");
-        let vertices = hi.forest.member_vertices(node, st.cached.as_ref());
-        let density = hi.forest.node_density(node, st.cached.as_ref(), &self.graph);
+        let (density, vertices) = hi.forest.materialize(node, st.cached.as_ref(), &self.graph);
         RegionReport {
             node,
             k: hi.forest.nodes[node as usize].k,
@@ -1215,6 +1216,86 @@ mod tests {
             }
         }
         assert!(engine.stats().spaces.iter().all(|s| s.hierarchy_resident));
+    }
+
+    /// Checks every `region_of` and `node_region` answer of the current
+    /// epoch against a brute-force reference over that epoch's graph and
+    /// resident forest: member cliques → vertices → sort → dedup, and the
+    /// induced subgraph those vertices span.
+    fn assert_regions_match_reference(engine: &Engine) {
+        let g = engine.graph();
+        for sel in [SpaceSel::Core, SpaceSel::Truss, SpaceSel::Nucleus34] {
+            let forest = engine.hierarchy_of(sel).unwrap();
+            let reference = |node: u32| {
+                let mut verts = Vec::new();
+                for c in forest.member_cliques(node) {
+                    verts.extend(engine.clique_vertices(sel, c as usize).unwrap());
+                }
+                verts.sort_unstable();
+                verts.dedup();
+                let sub = hdsd_graph::induced_subgraph(g, &verts);
+                (verts, sub.graph.num_edges(), hdsd_graph::density(&sub.graph))
+            };
+            let check = |r: RegionReport, node: u32| {
+                let (verts, edges, density) = reference(node);
+                assert_eq!(r.node, node);
+                assert_eq!(r.k, forest.nodes[node as usize].k);
+                assert_eq!(r.size, forest.nodes[node as usize].size);
+                assert_eq!(r.density.vertices, verts.len(), "{sel:?} node {node}");
+                assert_eq!(r.vertices, verts, "{sel:?} node {node}");
+                assert_eq!(r.density.edges, edges, "{sel:?} node {node}");
+                assert_eq!(r.density.density.to_bits(), density.to_bits(), "{sel:?} node {node}");
+            };
+            let node_of = forest.clique_to_node(engine.num_cliques(sel).unwrap());
+            for (id, &node) in node_of.iter().enumerate() {
+                match engine.region_of(sel, id) {
+                    Ok(r) => check(r, node),
+                    Err(e) => assert_eq!(node, u32::MAX, "{sel:?} clique {id}: {e}"),
+                }
+            }
+            for node in 0..forest.len() as u32 {
+                check(engine.node_region(sel, node).unwrap(), node);
+            }
+        }
+    }
+
+    #[test]
+    fn regions_match_the_reference_in_every_epoch() {
+        let g = hdsd_datasets::holme_kim(100, 4, 0.5, 23);
+        let n = g.num_vertices() as u32;
+        let mut engine = Engine::new(g, &full_config());
+        assert_regions_match_reference(&engine);
+        let clique = |vs: &[u32]| -> Vec<(u32, u32)> {
+            let mut out = Vec::new();
+            for (i, &u) in vs.iter().enumerate() {
+                out.extend(vs[i + 1..].iter().map(|&v| (u, v)));
+            }
+            out
+        };
+        // Edits inside the graph, then two batches that grow it past the
+        // old `n` (the second past a 64-vertex word boundary) with a K5 and
+        // a K4 hung off old vertices, then removals that cut into both.
+        let mut grow = clique(&[n, n + 1, n + 2, n + 3, n + 4]);
+        grow.extend([(0, n), (1, n), (0, n + 1)]);
+        let mut grow_more = clique(&[n + 30, n + 31, n + 32, n + 33]);
+        grow_more.extend([(n + 4, n + 30), (n + 2, n + 31)]);
+        let batches = [
+            (
+                vec![(2, 40), (3, 41), (2, 41)],
+                engine.graph().edges()[5..40].iter().step_by(11).copied().collect(),
+            ),
+            (grow, vec![]),
+            (grow_more, vec![(0, n)]),
+            (vec![(5, 60)], vec![(n, n + 1), (n + 30, n + 31)]),
+        ];
+        for (ins, rm) in batches {
+            let before = engine.graph().num_vertices();
+            engine.update(&ins, &rm);
+            assert!(engine.graph().num_vertices() >= before);
+            assert_regions_match_reference(&engine);
+        }
+        assert!(engine.graph().num_vertices() as u32 > n + 33);
+        assert_eq!(engine.stats().updates_applied, 4);
     }
 
     #[test]

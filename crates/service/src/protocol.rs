@@ -531,9 +531,13 @@ impl Server {
         }
         if let Some(vs) = req.get("vertices") {
             let vs = vs.as_array().ok_or("\"vertices\" must be an array")?;
-            let verts: Option<Vec<VertexId>> =
-                vs.iter().map(|v| v.as_u64().map(|x| x as VertexId)).collect();
-            let verts = verts.ok_or("\"vertices\" must contain non-negative integers")?;
+            let verts = vs
+                .iter()
+                .map(|v| {
+                    let x = v.as_u64().ok_or("\"vertices\" must contain non-negative integers")?;
+                    VertexId::try_from(x).map_err(|_| format!("vertex {x} out of range"))
+                })
+                .collect::<Result<Vec<_>, String>>()?;
             return view.resolve(sel, &verts);
         }
         Err("request needs \"id\" or \"vertices\"".to_string())
@@ -676,7 +680,8 @@ impl Server {
         let k = req
             .get("k")
             .and_then(Json::as_u64)
-            .ok_or_else(|| "missing integer field \"k\"".to_string())? as u32;
+            .ok_or_else(|| "missing integer field \"k\"".to_string())?;
+        let k = u32::try_from(k).map_err(|_| format!("\"k\" must be at most {}", u32::MAX))?;
         let limit = req.get("limit").and_then(Json::as_usize).unwrap_or(32);
         let nuclei = view.nuclei_at_under(sel, k, cancel)?;
         let total = nuclei.len();
@@ -731,7 +736,9 @@ impl Server {
         let node = req
             .get("node")
             .and_then(Json::as_u64)
-            .ok_or_else(|| "missing integer field \"node\"".to_string())? as u32;
+            .ok_or_else(|| "missing integer field \"node\"".to_string())?;
+        let node =
+            u32::try_from(node).map_err(|_| format!("hierarchy node {node} out of range"))?;
         let max_vertices = req.get("max_vertices").and_then(Json::as_usize).unwrap_or(64);
         if self.shared.overload.degrade_region() && !view.hierarchy_resident(sel)? {
             // In the vertex (core) space the node is its own 1-clique, so
@@ -758,7 +765,15 @@ impl Server {
                 let p = pair.as_array().filter(|p| p.len() == 2);
                 match p {
                     Some([u, v]) => match (u.as_u64(), v.as_u64()) {
-                        (Some(u), Some(v)) => Ok((u as VertexId, v as VertexId)),
+                        (Some(u), Some(v)) => {
+                            match (VertexId::try_from(u), VertexId::try_from(v)) {
+                                (Ok(u), Ok(v)) => Ok((u, v)),
+                                _ => Err(format!(
+                                    "\"{field}\" edge [{u},{v}]: vertex {} is out of range",
+                                    u.max(v)
+                                )),
+                            }
+                        }
                         _ => Err(format!("\"{field}\" entries must be integer pairs")),
                     },
                     _ => Err(format!("\"{field}\" entries must be [u, v] pairs")),
@@ -1297,6 +1312,34 @@ mod tests {
         // Nothing was partially applied: graph unchanged, no update counted.
         let after = ok(&mut s, r#"{"op":"stats"}"#);
         for field in ["vertices", "edges", "updates_applied"] {
+            assert_eq!(
+                after.get(field).unwrap().as_u64(),
+                before.get(field).unwrap().as_u64(),
+                "{field} drifted"
+            );
+        }
+    }
+
+    #[test]
+    fn integers_above_u32_are_rejected_not_truncated() {
+        let mut s = demo_server();
+        let before = ok(&mut s, r#"{"op":"stats"}"#);
+        // 2^32 and 2^32 + 2 truncate to 0 and 2, which all name something
+        // real in the demo graph; each must be an error instead.
+        let cases = [
+            (r#"{"op":"node","space":"core","node":4294967296}"#, "out of range"),
+            (r#"{"op":"nuclei","space":"core","k":4294967298}"#, "must be"),
+            (r#"{"op":"kappa","space":"core","vertices":[4294967296]}"#, "out of range"),
+            (r#"{"op":"region","space":"truss","vertices":[0,4294967297]}"#, "out of range"),
+            (r#"{"op":"insert","edges":[[4294967296,6]]}"#, "out of range"),
+            (r#"{"op":"update","remove":[[0,4294967297]]}"#, "out of range"),
+        ];
+        for (line, needle) in cases {
+            let e = err(&mut s, line);
+            assert!(e.contains(needle), "{line}: {e}");
+        }
+        let after = ok(&mut s, r#"{"op":"stats"}"#);
+        for field in ["vertices", "edges", "epoch", "updates_applied"] {
             assert_eq!(
                 after.get(field).unwrap().as_u64(),
                 before.get(field).unwrap().as_u64(),

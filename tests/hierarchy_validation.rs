@@ -3,13 +3,105 @@
 //! inside the materialized subgraph, S-connected, and maximal (the parent
 //! fails the child's k).
 
-use hdsd::graph::GraphBuilder;
+use hdsd::graph::{density, induced_subgraph, CsrGraph, GraphBuilder, VertexId};
+use hdsd::nucleus::hierarchy::{Hierarchy, HierarchyNode};
+use hdsd::nucleus::CachedSpace;
 use hdsd::prelude::*;
 use proptest::prelude::*;
 
 fn arb_graph() -> impl Strategy<Value = hdsd::graph::CsrGraph> {
     proptest::collection::vec((0u32..18, 0u32..18), 10..90)
         .prop_map(|edges| GraphBuilder::new().edges(edges).build())
+}
+
+/// Dense random graphs whose vertex ids are spread over several 64-bit
+/// words (ids `7 i`, up to 161), with isolated ids in between.
+fn arb_spread_graph() -> impl Strategy<Value = hdsd::graph::CsrGraph> {
+    proptest::collection::vec((0u32..24, 0u32..24), 10..140).prop_map(|edges| {
+        GraphBuilder::new().edges(edges.into_iter().map(|(u, v)| (7 * u, 7 * v))).build()
+    })
+}
+
+/// The forest of `space` plus two hand-made roots: one owning no clique
+/// (0 vertices) and one owning clique 0 alone (1 vertex in the core
+/// space), so the `|V| < 2` density is covered too.
+fn forest_with_small_nodes<S: CliqueSpace>(space: &S) -> Hierarchy {
+    let kappa = peel(space).kappa;
+    let mut forest = build_hierarchy(space, &kappa);
+    let mut owned = vec![vec![]];
+    if space.num_cliques() > 0 {
+        owned.push(vec![0]);
+    }
+    for own_cliques in owned {
+        forest.roots.push(forest.nodes.len() as u32);
+        let size = own_cliques.len();
+        forest.nodes.push(HierarchyNode {
+            k: 0,
+            parent: None,
+            children: vec![],
+            own_cliques,
+            size,
+        });
+    }
+    forest
+}
+
+/// Checks every node's materialization against an independent reference:
+/// member cliques → their vertices → sort → dedup, and the density of
+/// the induced subgraph those vertices span.
+fn check_materialization<S: CliqueSpace>(forest: &Hierarchy, space: &S, g: &CsrGraph) {
+    for id in 0..forest.len() as u32 {
+        let mut reference: Vec<VertexId> = Vec::new();
+        for c in forest.member_cliques(id) {
+            space.vertices_of(c as usize, &mut reference);
+        }
+        reference.sort_unstable();
+        reference.dedup();
+        let sub = induced_subgraph(g, &reference);
+
+        let (d, vertices) = forest.materialize(id, space, g);
+        assert_eq!(&vertices, &reference, "node {} vertex set", id);
+        assert_eq!(forest.member_vertices(id, space), reference.clone());
+        assert_eq!(d.k, forest.nodes[id as usize].k);
+        assert_eq!(d.vertices, reference.len());
+        assert_eq!(d.edges, sub.graph.num_edges(), "node {} edge count", id);
+        assert_eq!(d.density.to_bits(), density(&sub.graph).to_bits(), "node {}", id);
+        if reference.len() < 2 {
+            assert_eq!(d.density, 0.0);
+        }
+        assert_eq!(forest.node_density(id, space, g), d);
+    }
+}
+
+/// [`check_materialization`] over the core, truss and (3,4) forests of
+/// `g`, on the borrowed spaces and on their `CachedSpace` copies.
+fn check_all_spaces(g: &CsrGraph) {
+    let core = CoreSpace::new(g);
+    let truss = TrussSpace::precomputed(g);
+    let n34 = Nucleus34Space::precomputed(g);
+    check_materialization(&forest_with_small_nodes(&core), &core, g);
+    check_materialization(&forest_with_small_nodes(&truss), &truss, g);
+    check_materialization(&forest_with_small_nodes(&n34), &n34, g);
+    for cached in [CachedSpace::build(&core), CachedSpace::build(&truss), CachedSpace::build(&n34)]
+    {
+        check_materialization(&forest_with_small_nodes(&cached), &cached, g);
+    }
+}
+
+// One subtree walk gives the sorted vertex set and the induced edge count
+// of every node, bit-identical to building the subgraph.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn materialize_matches_the_induced_subgraph(g in arb_graph()) {
+        check_all_spaces(&g);
+    }
+
+    #[test]
+    fn materialize_matches_across_bitset_words(g in arb_spread_graph()) {
+        check_all_spaces(&g);
+    }
 }
 
 proptest! {
