@@ -5,8 +5,8 @@
 use hdsd_datasets::{nested_communities, Dataset, NestedCommunitySpec};
 use hdsd_graph::CsrGraph;
 use hdsd_nucleus::{
-    build_hierarchy, peel, CliqueSpace, CoreSpace, Hierarchy, Nucleus34Space, TrussSpace,
-    Vertex13Space,
+    build_hierarchy, peel, CachedSpace, CliqueSpace, CoreSpace, Hierarchy, Nucleus34Space,
+    TrussSpace,
 };
 
 use crate::{Env, Table};
@@ -51,7 +51,7 @@ fn compare(g: &CsrGraph) {
         report(&t, &sp, g, &h);
     }
     {
-        let sp = Vertex13Space::new(g);
+        let sp = CachedSpace::from_graph(g, 1, 3);
         let kappa = peel(&sp).kappa;
         let h = build_hierarchy(&sp, &kappa);
         report(&t, &sp, g, &h);

@@ -1,94 +1,29 @@
 //! 4-clique (K4) counting and enumeration: the s-clique side of the (3,4)
 //! nucleus decomposition.
 //!
-//! A K4 `{u, v, w, x}` with `rank(u) < rank(v) < rank(w) < rank(x)` is found
-//! exactly once by extending the triangle `(u, v, w)` (itself found once)
-//! with every `x` in the triple intersection of the out-lists of `u`, `v`
-//! and `w`. The intersections run through vertex-indexed mark arrays:
-//! [`crate::for_each_triangle`] marks `out(u)` and reports the closers `w`
-//! of each oriented edge `u -> v` together, those closers get a second
-//! mark, and the second-marked members of `out(w)` are the `x`. 4-cliques
-//! are visited in the triangle order of [`crate::for_each_triangle`], each
-//! triangle's `x` in rank order.
+//! K4s are the k = 4 cliques of [`crate::for_each_clique`]: a K4
+//! `{u, v, w, x}` with `rank(u) < rank(v) < rank(w) < rank(x)` is found
+//! exactly once, as the triangle `(u, v, w)` extended by every `x` of
+//! `out(w)` that also closes `u -> v`. They are visited by `u`, then `v`
+//! and `w` in rank order, each triangle's `x` in rank order.
 //!
 //! [`K4List`] materializes them in that order with their triangle ids,
 //! found by one incidence-list search per face from the base triangle's
 //! edge ids. [`K4List::build_with`] takes the orientation the triangle
 //! list was built with, so one orientation serves both substrates.
 
+use crate::cliques::for_each_clique;
 use crate::csr::{CsrGraph, EdgeId, VertexId};
 use crate::orientation::Orientation;
-use crate::triangles::{for_each_triangle, TriangleList};
+use crate::triangles::TriangleList;
 
-/// Calls `f([u, v, w, x])` once per 4-clique, ranks ascending.
-pub fn for_each_k4(g: &CsrGraph, orient: &Orientation, mut f: impl FnMut([VertexId; 4])) {
-    for_each_k4_on_edges(g, orient, |vs, _| f(vs));
-}
-
-/// [`for_each_k4`], also passing the edge ids `[uv, uw, vw]` of the base
-/// triangle `(u, v, w)`, which is what locating the K4's triangles by
-/// incidence list needs.
-fn for_each_k4_on_edges(
-    g: &CsrGraph,
-    orient: &Orientation,
-    mut f: impl FnMut([VertexId; 4], [EdgeId; 3]),
-) {
-    // Triangles arrive grouped by their oriented edge `u -> v`; `run`
-    // collects that group's closers `(w, e_uw, e_vw)`, in rank order.
-    let mut ext = Extender { closes: vec![false; g.num_vertices()], run: Vec::new() };
-    let mut base = (0, 0, 0);
-    for_each_triangle(g, orient, |e_uv, e_uw, e_vw, [u, v, w]| {
-        if (u, v) != (base.0, base.1) {
-            ext.extend(orient, base, &mut f);
-            base = (u, v, e_uv);
-        }
-        ext.run.push((w, e_uw, e_vw));
-    });
-    ext.extend(orient, base, &mut f);
-}
-
-/// Scratch of [`for_each_k4_on_edges`].
-struct Extender {
-    /// `closes[x]`: x is a closer of the current run.
-    closes: Vec<bool>,
-    run: Vec<(VertexId, EdgeId, EdgeId)>,
-}
-
-impl Extender {
-    /// Reports every K4 `{u, v, w, x}` whose `w` and `x` both close the run
-    /// of `u -> v`, then empties the run.
-    fn extend(
-        &mut self,
-        orient: &Orientation,
-        (u, v, e_uv): (VertexId, VertexId, EdgeId),
-        f: &mut impl FnMut([VertexId; 4], [EdgeId; 3]),
-    ) {
-        // x ranks above w, so the last closer has no x left to meet.
-        if let Some((_, extendable)) = self.run.split_last() {
-            for &(w, _, _) in &self.run {
-                self.closes[w as usize] = true;
-            }
-            for &(w, e_uw, e_vw) in extendable {
-                for &x in orient.out_neighbors(w) {
-                    if self.closes[x as usize] {
-                        f([u, v, w, x], [e_uv, e_uw, e_vw]);
-                    }
-                }
-            }
-            for &(w, _, _) in &self.run {
-                self.closes[w as usize] = false;
-            }
-        }
-        self.run.clear();
-    }
-}
-
-/// The four triangle ids of the K4 `{u, v, w, x}` reported by
-/// [`for_each_k4_on_edges`], in the sorted-vertex slot order
-/// `[abc, abd, acd, bcd]`: the face missing the vertex with `k` larger
-/// K4 vertices sits in slot `k`.
-fn k4_faces(tl: &TriangleList, vs: [VertexId; 4], [e_uv, e_uw, e_vw]: [EdgeId; 3]) -> [u32; 4] {
-    let [u, v, w, x] = vs;
+/// The four triangle ids of the K4 `vs = [u, v, w, x]` reported by
+/// [`for_each_clique`] at k = 4 with its root and path edges, in the
+/// sorted-vertex slot order `[abc, abd, acd, bcd]`: the face missing the
+/// vertex with `k` larger K4 vertices sits in slot `k`.
+fn k4_faces(tl: &TriangleList, vs: &[VertexId], root: &[EdgeId], path: &[EdgeId]) -> [u32; 4] {
+    let (u, v, w, x) = (vs[0], vs[1], vs[2], vs[3]);
+    let (e_uv, e_uw, e_vw) = (root[0], root[1], path[1]);
     let face = |e: EdgeId, third: VertexId| tl.triangle_on_edge(e, third).expect("face of a K4");
     let mut ids = [0u32; 4];
     for (missing, t) in
@@ -103,7 +38,7 @@ fn k4_faces(tl: &TriangleList, vs: [VertexId; 4], [e_uv, e_uw, e_vw]: [EdgeId; 3
 pub fn total_k4(g: &CsrGraph) -> u64 {
     let orient = Orientation::degeneracy(g);
     let mut n = 0u64;
-    for_each_k4(g, &orient, |_| n += 1);
+    for_each_clique(g, &orient, 4, |_, _, _| n += 1);
     n
 }
 
@@ -112,8 +47,8 @@ pub fn total_k4(g: &CsrGraph) -> u64 {
 pub fn count_k4_per_triangle(g: &CsrGraph, tl: &TriangleList) -> Vec<u32> {
     let orient = Orientation::degeneracy(g);
     let mut counts = vec![0u32; tl.len()];
-    for_each_k4_on_edges(g, &orient, |vs, es| {
-        for t in k4_faces(tl, vs, es) {
+    for_each_clique(g, &orient, 4, |vs, root, path| {
+        for t in k4_faces(tl, vs, root, path) {
             counts[t as usize] += 1;
         }
     });
@@ -187,11 +122,13 @@ impl K4List {
     }
 
     /// Builds the list under a caller-provided orientation (typically the
-    /// one `tl` was built with). K4 ids follow [`for_each_k4`]'s visiting
-    /// order under `orient`.
+    /// one `tl` was built with). K4 ids follow [`for_each_clique`]'s
+    /// visiting order under `orient`.
     pub fn build_with(g: &CsrGraph, tl: &TriangleList, orient: &Orientation) -> Self {
         let mut quad_tris: Vec<[u32; 4]> = Vec::new();
-        for_each_k4_on_edges(g, orient, |vs, es| quad_tris.push(k4_faces(tl, vs, es)));
+        for_each_clique(g, orient, 4, |vs, root, path| {
+            quad_tris.push(k4_faces(tl, vs, root, path))
+        });
         assert!(
             quad_tris.len() <= u32::MAX as usize,
             "K4 count {} exceeds u32 id space",

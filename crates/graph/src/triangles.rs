@@ -1,11 +1,11 @@
 //! Triangle counting, enumeration, and the edge↔triangle incidence used by
 //! the (2,3) (k-truss) and (3,4) nucleus substrates.
 //!
-//! Enumeration orients the graph (degeneracy order by default). For each
-//! vertex `u` it marks the out-list of `u` in a vertex-indexed array, then
-//! scans the out-list of every out-neighbor `v`: each marked `w` closes a
-//! triangle. Every triangle is produced exactly once, from its two
-//! lowest-ranked vertices, in rank order of `w` within `out(v)`.
+//! Triangles are the k = 3 cliques of [`crate::for_each_clique`] over an
+//! orientation (degeneracy order by default): the root `u`'s out-list is
+//! marked, and each marked `w` in the out-list of an out-neighbor `v`
+//! closes the triangle `u < v < w`. The lister hands over the edge ids
+//! `uv`, `uw` and `vw` along with the vertices.
 //!
 //! [`TriangleList`] numbers triangles canonically (lexicographic vertex
 //! triples) without a comparison sort. Edge ids are lexicographic, so a
@@ -15,50 +15,25 @@
 //! Filling the incidence lists in that order leaves each edge's list
 //! sorted by third vertex, so no per-edge sort is needed either.
 
+use crate::cliques::for_each_clique;
 use crate::csr::{CsrGraph, EdgeId, VertexId};
-use crate::delta::NO_ID;
 use crate::orientation::Orientation;
 
-/// Calls `f(eid_uv, eid_uw, eid_vw, [u, v, w])` once per triangle, where
-/// `rank(u) < rank(v) < rank(w)` under the orientation's order. Vertex ids
-/// themselves are arbitrary. Triangles are visited by `u` ascending, then
-/// `v` and `w` in rank order.
-pub fn for_each_triangle(
-    g: &CsrGraph,
-    orient: &Orientation,
-    mut f: impl FnMut(EdgeId, EdgeId, EdgeId, [VertexId; 3]),
-) {
-    // `edge_to[w]` = id of the edge `u -> w` while `u`'s out-list is marked.
-    let mut edge_to = vec![NO_ID; g.num_vertices()];
-    for u in g.vertices() {
-        let (ou, oe) = (orient.out_neighbors(u), orient.out_edge_ids(u));
-        for (&w, &e) in ou.iter().zip(oe) {
-            edge_to[w as usize] = e;
-        }
-        for (&v, &e_uv) in ou.iter().zip(oe) {
-            // Every w of out(v) ranks above v, so a marked one sits after v
-            // in out(u) and closes the triangle u < v < w.
-            for (&w, &e_vw) in orient.out_neighbors(v).iter().zip(orient.out_edge_ids(v)) {
-                let e_uw = edge_to[w as usize];
-                if e_uw != NO_ID {
-                    f(e_uv, e_uw, e_vw, [u, v, w]);
-                }
-            }
-        }
-        for &w in ou {
-            edge_to[w as usize] = NO_ID;
-        }
-    }
+/// The edge ids `[uv, uw, vw]` of a triangle reported by
+/// [`for_each_clique`] at k = 3.
+#[inline]
+fn triangle_edges(root: &[EdgeId], path: &[EdgeId]) -> [EdgeId; 3] {
+    [root[0], root[1], path[1]]
 }
 
 /// Per-edge triangle counts (the `d_3` / initial τ values of k-truss).
 pub fn count_triangles_per_edge(g: &CsrGraph) -> Vec<u32> {
     let orient = Orientation::degeneracy(g);
     let mut counts = vec![0u32; g.num_edges()];
-    for_each_triangle(g, &orient, |e1, e2, e3, _| {
-        counts[e1 as usize] += 1;
-        counts[e2 as usize] += 1;
-        counts[e3 as usize] += 1;
+    for_each_clique(g, &orient, 3, |_, root, path| {
+        for e in triangle_edges(root, path) {
+            counts[e as usize] += 1;
+        }
     });
     counts
 }
@@ -67,7 +42,7 @@ pub fn count_triangles_per_edge(g: &CsrGraph) -> Vec<u32> {
 pub fn total_triangles(g: &CsrGraph) -> u64 {
     let orient = Orientation::degeneracy(g);
     let mut n = 0u64;
-    for_each_triangle(g, &orient, |_, _, _, _| n += 1);
+    for_each_clique(g, &orient, 3, |_, _, _| n += 1);
     n
 }
 
@@ -109,7 +84,8 @@ impl TriangleList {
     pub fn build_with(g: &CsrGraph, orient: &Orientation) -> Self {
         // Discovery order; a triangle's edge ids ascending are [ab, ac, bc].
         let mut found: Vec<[EdgeId; 3]> = Vec::new();
-        for_each_triangle(g, orient, |e1, e2, e3, _| {
+        for_each_clique(g, orient, 3, |_, root, path| {
+            let [e1, e2, e3] = triangle_edges(root, path);
             let (lo, hi) = (e1.min(e2), e1.max(e2));
             let (mid, hi) = (hi.min(e3), hi.max(e3));
             found.push([lo.min(mid), lo.max(mid), hi]);

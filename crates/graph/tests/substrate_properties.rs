@@ -1,12 +1,11 @@
 //! Brute-force oracles for the clique substrate: every optimized builder
-//! (linear orientation, mark-array triangle and 4-clique enumeration,
-//! counting-sort canonical ids, incidence lists) is checked against the
-//! O(n³)/O(n⁴) definition on arbitrary small graphs, under degeneracy,
-//! degree and arbitrary vertex orders.
+//! (linear orientation, the k-clique lister, counting-sort canonical ids,
+//! incidence lists) is checked against the definition on arbitrary small
+//! graphs, under degeneracy, degree and arbitrary vertex orders.
 
 use hdsd_graph::{
-    count_triangles_per_edge, degeneracy_order, total_k4, total_triangles, CsrGraph, GraphBuilder,
-    K4List, Orientation, TriangleList, VertexOrder,
+    count_triangles_per_edge, degeneracy_order, for_each_clique, total_k4, total_triangles,
+    CsrGraph, GraphBuilder, K4List, Orientation, TriangleList, VertexOrder,
 };
 use proptest::prelude::*;
 
@@ -45,6 +44,55 @@ fn brute_k4s(g: &CsrGraph) -> Vec<[u32; 4]> {
         }
     }
     out
+}
+
+/// Every k-clique, vertices ascending, lexicographic.
+fn brute_cliques(g: &CsrGraph, k: usize) -> Vec<Vec<u32>> {
+    fn grow(g: &CsrGraph, k: usize, clique: &mut Vec<u32>, out: &mut Vec<Vec<u32>>) {
+        if clique.len() == k {
+            out.push(clique.clone());
+            return;
+        }
+        let from = clique.last().map_or(0, |&v| v + 1);
+        for v in from..g.num_vertices() as u32 {
+            if clique.iter().all(|&u| g.has_edge(u, v)) {
+                clique.push(v);
+                grow(g, k, clique, out);
+                clique.pop();
+            }
+        }
+    }
+    let mut out = Vec::new();
+    grow(g, k, &mut Vec::new(), &mut out);
+    out
+}
+
+/// The lister under `orient` reports every k-clique exactly once, ranks
+/// ascending, with the true root and path edge ids.
+fn check_lister(g: &CsrGraph, name: &str, orient: &Orientation, k: usize) {
+    let mut found = Vec::new();
+    for_each_clique(g, orient, k, |vs, root, path| {
+        assert_eq!(vs.len(), k, "{name} k={k}");
+        assert_eq!((root.len(), path.len()), (k - 1, k - 1), "{name} k={k}");
+        assert!(vs.windows(2).all(|w| orient.rank(w[0]) < orient.rank(w[1])), "{name}: {vs:?}");
+        for i in 0..k - 1 {
+            assert_eq!(
+                g.edge_id(vs[0], vs[i + 1]),
+                Some(root[i]),
+                "{name}: root edge {i} of {vs:?}"
+            );
+            assert_eq!(
+                g.edge_id(vs[i], vs[i + 1]),
+                Some(path[i]),
+                "{name}: path edge {i} of {vs:?}"
+            );
+        }
+        let mut sorted = vs.to_vec();
+        sorted.sort_unstable();
+        found.push(sorted);
+    });
+    found.sort_unstable();
+    assert_eq!(found, brute_cliques(g, k), "{name}: the {k}-cliques, each once");
 }
 
 /// The orientations every builder must be correct under: degeneracy,
@@ -171,6 +219,15 @@ proptest! {
     fn substrate_matches_brute_force_under_every_order(g in arb_graph(), seed in 0u64..u64::MAX) {
         for (name, orient) in orientations(&g, seed) {
             check_substrate(&g, name, &orient);
+        }
+    }
+
+    #[test]
+    fn lister_reports_every_clique_once_under_every_order(g in arb_graph(), seed in 0u64..u64::MAX) {
+        for (name, orient) in orientations(&g, seed) {
+            for k in 1..=5 {
+                check_lister(&g, name, &orient, k);
+            }
         }
     }
 

@@ -44,9 +44,8 @@
 //! per-container adjacency intersections into contiguous `u32` reads fed to
 //! the fused ρ-min + h-index kernels of `hdsd-hindex`. Rows a space already
 //! owns ([`CliqueSpace::as_flat`]) are swept in place; otherwise the cache
-//! is gated by [`LocalConfig::container_cache_budget`] and by each space's
-//! [`CliqueSpace::prefers_flat_cache`] hint (the rule every kernel shares,
-//! `space/rows.rs`).
+//! is gated by [`LocalConfig::container_cache_budget`] (the rule every
+//! kernel shares, `space/rows.rs`).
 //!
 //! ## Parallel variant
 //!

@@ -58,9 +58,8 @@ pub struct LocalConfig {
     /// Byte budget for building a flat container cache; `None` sweeps
     /// through the callback walk, even over a space with resident rows.
     /// With a budget, resident rows ([`crate::space::CliqueSpace::as_flat`])
-    /// are swept in place at no cost, and spaces whose layout is already
-    /// flat opt out of a copy regardless (see
-    /// [`crate::space::CliqueSpace::prefers_flat_cache`]).
+    /// are swept in place at no cost, and any other space's rows are built
+    /// when they fit the budget.
     pub container_cache_budget: Option<usize>,
 }
 

@@ -86,10 +86,7 @@ pub use query::{
     QueryEstimate, QueryOptions,
 };
 pub use snd::{snd, snd_with_observer};
-pub use space::{
-    CachedSpace, CliqueSpace, CoreSpace, FlatContainers, GenericSpace, Nucleus34Space, TrussSpace,
-    Vertex13Space,
-};
+pub use space::{CachedSpace, CliqueSpace, CoreSpace, FlatContainers, Nucleus34Space, TrussSpace};
 pub use update::{rebuild_graph, refresh_kappa, update_space, GraphStep, SpaceSel, SpaceStep};
 
 /// One-stop imports for typical use.
@@ -101,7 +98,5 @@ pub mod prelude {
     pub use crate::levels::degree_levels;
     pub use crate::peel::peel;
     pub use crate::snd::snd;
-    pub use crate::space::{
-        CliqueSpace, CoreSpace, GenericSpace, Nucleus34Space, TrussSpace, Vertex13Space,
-    };
+    pub use crate::space::{CachedSpace, CliqueSpace, CoreSpace, Nucleus34Space, TrussSpace};
 }

@@ -372,7 +372,7 @@ pub fn peel_parallel<S: CliqueSpace>(space: &S, _cfg: ParallelConfig) -> PeelRes
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::{CachedSpace, CoreSpace, GenericSpace, Nucleus34Space, TrussSpace};
+    use crate::space::{CachedSpace, CoreSpace, Nucleus34Space, TrussSpace};
     use hdsd_graph::graph_from_edges;
 
     fn complete(n: u32) -> hdsd_graph::CsrGraph {
@@ -500,11 +500,11 @@ mod tests {
             (1, 4),
         ]);
         // (1,2)
-        let gen12 = GenericSpace::new(&g, 1, 2);
+        let gen12 = CachedSpace::from_graph(&g, 1, 2);
         let core = CoreSpace::new(&g);
         assert_eq!(peel(&gen12).kappa, peel(&core).kappa);
         // (2,3): generic edge ids are lexicographic like CSR edge ids.
-        let gen23 = GenericSpace::new(&g, 2, 3);
+        let gen23 = CachedSpace::from_graph(&g, 2, 3);
         let truss = TrussSpace::precomputed(&g);
         let a = peel(&gen23).kappa;
         let b = peel(&truss).kappa;
@@ -520,10 +520,10 @@ mod tests {
         let g = hdsd_datasets::holme_kim(120, 4, 0.5, 3);
         let truss = TrussSpace::precomputed(&g);
         let nuc = Nucleus34Space::precomputed(&g);
-        let gen13 = GenericSpace::new(&g, 1, 3);
+        let gen13 = CachedSpace::from_graph(&g, 1, 3);
         // group = binom(4,2) − 1 = 5: beyond every monomorphized arity, so
         // this hits the width-at-runtime fallback (`run::<0>`).
-        let gen24 = GenericSpace::new(&g, 2, 4);
+        let gen24 = CachedSpace::from_graph(&g, 2, 4);
         let core = CoreSpace::new(&g);
 
         let mut engine = PeelEngine::new();

@@ -136,7 +136,7 @@ fn snd_driver<A: SweepAccess>(
 mod tests {
     use super::*;
     use crate::peel::peel;
-    use crate::space::{CoreSpace, GenericSpace, Nucleus34Space, TrussSpace};
+    use crate::space::{CachedSpace, CoreSpace, Nucleus34Space, TrussSpace};
     use hdsd_graph::graph_from_edges;
 
     /// The paper's Figure 2 toy graph for the k-core walkthrough:
@@ -193,7 +193,7 @@ mod tests {
         assert_eq!(snd(&truss, &LocalConfig::sequential()).tau, peel(&truss).kappa);
         let nuc = Nucleus34Space::precomputed(&g);
         assert_eq!(snd(&nuc, &LocalConfig::sequential()).tau, peel(&nuc).kappa);
-        let gen = GenericSpace::new(&g, 1, 3);
+        let gen = CachedSpace::from_graph(&g, 1, 3);
         assert_eq!(snd(&gen, &LocalConfig::sequential()).tau, peel(&gen).kappa);
     }
 

@@ -9,7 +9,8 @@
 //! lists, and serves the full [`CliqueSpace`] interface from those owned
 //! arrays. Clique ids are identical to the source space's, so κ vectors,
 //! hierarchies and query results computed against either are
-//! interchangeable.
+//! interchangeable. Every (r, s) without a specialized space is built
+//! straight into this form by [`CachedSpace::from_graph`].
 
 use hdsd_graph::VertexId;
 
@@ -28,18 +29,8 @@ pub struct CachedSpace {
 impl CachedSpace {
     /// Materializes `space` into an owned snapshot (one full container
     /// walk, like [`FlatContainers::build`], plus one `vertices_of` pass).
-    ///
-    /// # Panics
-    /// Panics when the space's container arity exceeds
-    /// [`MAX_OTHERS_INLINE`] (the generic space can; core/truss/nucleus
-    /// cannot).
     pub fn build<S: CliqueSpace>(space: &S) -> Self {
         let flat = FlatContainers::build(space);
-        assert!(
-            flat.group() <= MAX_OTHERS_INLINE,
-            "container arity {} exceeds the inline buffer",
-            flat.group()
-        );
         let r = space.r();
         let n = space.num_cliques();
         let mut clique_verts = Vec::with_capacity(n * r);
@@ -56,7 +47,8 @@ impl CachedSpace {
     /// Assembles a snapshot from already-materialized parts: the flat
     /// container arrays plus the concatenated `r`-vertex lists. Used by the
     /// incremental splice path (`crate::delta`), which patches the flat
-    /// arrays of an existing snapshot instead of walking a space.
+    /// arrays of an existing snapshot instead of walking a space, and by
+    /// the generic builder ([`CachedSpace::from_graph`]).
     pub(crate) fn from_parts(
         rs: (usize, usize),
         name: String,
@@ -70,6 +62,24 @@ impl CachedSpace {
     /// The underlying flat container arrays.
     pub fn flat(&self) -> &FlatContainers {
         &self.flat
+    }
+
+    /// [`CliqueSpace::try_for_each_container`] for containers wider than
+    /// [`MAX_OTHERS_INLINE`], through one heap buffer.
+    #[cold]
+    fn try_for_each_wide_container<F: FnMut(&[usize]) -> std::ops::ControlFlow<()>>(
+        &self,
+        i: usize,
+        mut f: F,
+    ) -> std::ops::ControlFlow<()> {
+        let mut others = vec![0usize; self.flat.group()];
+        for chunk in self.flat.containers(i).chunks_exact(others.len()) {
+            for (slot, &o) in others.iter_mut().zip(chunk) {
+                *slot = o as usize;
+            }
+            f(&others)?;
+        }
+        std::ops::ControlFlow::Continue(())
     }
 
     /// The `r` vertices of clique `i` as a slice (no allocation).
@@ -103,6 +113,9 @@ impl CliqueSpace for CachedSpace {
         mut f: F,
     ) -> std::ops::ControlFlow<()> {
         let group = self.flat.group();
+        if group > MAX_OTHERS_INLINE {
+            return self.try_for_each_wide_container(i, f);
+        }
         let mut others = [0usize; MAX_OTHERS_INLINE];
         for chunk in self.flat.containers(i).chunks_exact(group.max(1)) {
             for (slot, &o) in others.iter_mut().zip(chunk) {
@@ -127,11 +140,6 @@ impl CliqueSpace for CachedSpace {
 
     fn name(&self) -> String {
         self.name.clone()
-    }
-
-    /// Already a flat CSR; a second copy would buy nothing.
-    fn prefers_flat_cache(&self) -> bool {
-        false
     }
 
     /// The resident container arrays: the exact path peels these directly.
@@ -207,14 +215,21 @@ mod tests {
         assert_equivalent(&Nucleus34Space::on_the_fly(&g));
         let tl = hdsd_graph::TriangleList::build(&g);
         assert_equivalent(&Nucleus34Space::with_triangles(&g, &tl));
+        // Five other edges per K4: wider than the inline buffer.
+        assert_equivalent(&CachedSpace::from_graph(&g, 2, 4));
     }
 
     #[test]
     fn cached_space_opts_out_of_double_caching() {
+        // The kernels sweep resident rows in place: no budget builds a copy.
         let g = sample();
         let cached = CachedSpace::build(&TrussSpace::precomputed(&g));
-        assert!(!cached.prefers_flat_cache());
-        assert!(FlatContainers::build_within(&cached, usize::MAX).is_none());
+        for budget in [usize::MAX, 0] {
+            let rows = crate::space::resolve_rows(&cached, Some(budget));
+            assert!(
+                matches!(rows, Some(std::borrow::Cow::Borrowed(r)) if std::ptr::eq(r, cached.flat()))
+            );
+        }
         assert!(cached.heap_bytes() > 0);
     }
 }

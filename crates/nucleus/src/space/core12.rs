@@ -72,10 +72,6 @@ impl CliqueSpace for CoreSpace<'_> {
     fn name(&self) -> String {
         "(1,2) k-core".to_string()
     }
-
-    fn prefers_flat_cache(&self) -> bool {
-        false // containers are the CSR neighbor lists; a cache is a copy
-    }
 }
 
 #[cfg(test)]

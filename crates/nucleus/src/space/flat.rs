@@ -13,10 +13,9 @@
 //!
 //! The trade is memory: `Σ d_S(R) · (binom(s,r) − 1)` ids. The sweep
 //! drivers therefore gate the cache behind a byte budget
-//! ([`FlatContainers::build_within`]) and a per-space hint
-//! ([`CliqueSpace::prefers_flat_cache`]) — the (1,2) core space, for
-//! example, is *already* a CSR adjacency and would gain nothing from a
-//! copy.
+//! ([`FlatContainers::build_within`]). Spaces that own their rows already
+//! ([`CachedSpace`](super::CachedSpace), whatever its (r, s)) are swept in
+//! place and never copied.
 
 use super::CliqueSpace;
 
@@ -66,12 +65,17 @@ impl FlatContainers {
         FlatContainers { group, offsets, others }
     }
 
+    /// Assembles the cache from rows built elsewhere: `offsets` are the
+    /// per-clique container-count prefix sums and `others` the packed
+    /// other-member ids, `group` per container.
+    pub(crate) fn from_rows(group: usize, offsets: Vec<usize>, others: Vec<u32>) -> Self {
+        debug_assert_eq!(others.len(), offsets.last().copied().unwrap_or(0) * group);
+        FlatContainers { group, offsets, others }
+    }
+
     /// Builds the cache only when its estimated footprint fits `budget`
-    /// bytes **and** the space says a cache would help.
+    /// bytes.
     pub fn build_within<S: CliqueSpace>(space: &S, budget: usize) -> Option<Self> {
-        if !space.prefers_flat_cache() {
-            return None;
-        }
         if Self::estimate_bytes(space) > budget {
             return None;
         }
@@ -213,7 +217,7 @@ fn binom(n: usize, k: usize) -> usize {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{CoreSpace, Nucleus34Space, TrussSpace, Vertex13Space};
+    use super::super::{CachedSpace, CoreSpace, Nucleus34Space, TrussSpace};
     use super::*;
     use hdsd_graph::graph_from_edges;
 
@@ -273,7 +277,8 @@ mod tests {
         assert_matches_walk(&Nucleus34Space::on_the_fly(&g));
         let tl = hdsd_graph::TriangleList::build(&g);
         assert_matches_walk(&Nucleus34Space::with_triangles(&g, &tl));
-        assert_matches_walk(&Vertex13Space::new(&g));
+        assert_matches_walk(&CachedSpace::from_graph(&g, 1, 3));
+        assert_matches_walk(&CachedSpace::from_graph(&g, 2, 4));
     }
 
     #[test]
@@ -283,9 +288,6 @@ mod tests {
         let need = FlatContainers::estimate_bytes(&sp);
         assert!(FlatContainers::build_within(&sp, need).is_some());
         assert!(FlatContainers::build_within(&sp, need - 1).is_none());
-        // The core space opts out regardless of budget: it is already CSR.
-        let core = CoreSpace::new(&g);
-        assert!(FlatContainers::build_within(&core, usize::MAX).is_none());
     }
 
     #[test]
@@ -294,6 +296,7 @@ mod tests {
         assert_eq!(others_per_container(&CoreSpace::new(&g)), 1);
         assert_eq!(others_per_container(&TrussSpace::precomputed(&g)), 2);
         assert_eq!(others_per_container(&Nucleus34Space::precomputed(&g)), 3);
-        assert_eq!(others_per_container(&Vertex13Space::new(&g)), 2);
+        assert_eq!(others_per_container(&CachedSpace::from_graph(&g, 1, 3)), 2);
+        assert_eq!(others_per_container(&CachedSpace::from_graph(&g, 2, 4)), 5);
     }
 }

@@ -1,236 +1,180 @@
-//! Generic (r, s) space via explicit hypergraph construction.
+//! The generic (r, s) builder: any `0 < r < s` as an owned [`CachedSpace`].
 //!
-//! Enumerates every r-clique and s-clique of the graph and materializes the
-//! full incidence — exactly the hypergraph the paper notes is infeasible at
-//! scale (§5) but invaluable for validation: the specialized (1,2), (2,3)
-//! and (3,4) spaces are cross-checked against this one in tests, and it
-//! makes exotic decompositions like (1,3) or (2,4) available on small
-//! graphs.
+//! The paper's framework covers every r < s, and so does this builder: the
+//! (1,3) triangle-core, the (2,4) space of edges by K4 participation, and
+//! the three headline spaces all come out of it. Both clique sets come
+//! from the one lister of `hdsd-graph`, [`for_each_clique`], over a
+//! degeneracy orientation:
+//!
+//! * **r-cliques** are numbered lexicographically by sorted vertex tuple
+//!   — vertex ids for r = 1, edge ids for r = 2, canonical triangle ids
+//!   for r = 3 — so κ vectors compare elementwise with the specialized
+//!   spaces. The numbering is `r` stable counting sorts over vertex ids,
+//!   last position first; the final pass groups the list by first vertex.
+//! * **s-cliques** are listed once. Each one's `binom(s, r)` r-subsets are
+//!   found by binary search in their first vertex's group, with no
+//!   hashing.
+//! * **Rows** are counted, prefix-summed and filled straight into the
+//!   [`FlatContainers`] arrays; containers follow the lister's order.
 
-use std::collections::HashMap;
+use hdsd_graph::{for_each_clique, CsrGraph, Orientation, VertexId};
 
-use hdsd_graph::{CsrGraph, VertexId};
+use super::{CachedSpace, FlatContainers};
 
-use super::CliqueSpace;
-
-/// Explicitly materialized (r, s) clique space.
-pub struct GenericSpace<'g> {
-    #[allow(dead_code)]
-    graph: &'g CsrGraph,
-    r: usize,
-    s: usize,
-    /// Sorted vertex lists of the r-cliques, concatenated (`r` each).
-    r_verts: Vec<VertexId>,
-    /// CSR: container group offsets per r-clique. Each group has
-    /// `binom(s,r) − 1` other-member ids in `others_flat`.
-    cont_offsets: Vec<usize>,
-    others_flat: Vec<usize>,
-    /// Others per container group.
-    group: usize,
-}
-
-impl<'g> GenericSpace<'g> {
-    /// Builds the space by full enumeration. Intended for small graphs —
-    /// cost grows as `O(n^s)` in the worst case.
+impl CachedSpace {
+    /// Builds the (r, s) space of `graph`: its r-cliques, numbered
+    /// lexicographically by sorted vertex tuple, and their s-clique
+    /// containers.
     ///
     /// # Panics
     /// Panics unless `0 < r < s`.
-    pub fn new(graph: &'g CsrGraph, r: usize, s: usize) -> Self {
-        assert!(r >= 1 && s > r, "GenericSpace requires 0 < r < s (got r={r}, s={s})");
-        let r_cliques = enumerate_cliques(graph, r);
-        let s_cliques = enumerate_cliques(graph, s);
+    pub fn from_graph(graph: &CsrGraph, r: usize, s: usize) -> Self {
+        assert!(r >= 1 && s > r, "the (r, s) builder requires 0 < r < s (got r={r}, s={s})");
+        let orient = Orientation::degeneracy(graph);
+        let r_cliques = RCliques::list(graph, &orient, r);
 
-        let mut index: HashMap<&[VertexId], usize> = HashMap::with_capacity(r_cliques.len());
-        for (i, rc) in r_cliques.chunks(r).enumerate() {
-            index.insert(rc, i);
-        }
-
-        let group = binom(s, r) - 1;
-        // First pass: count containers per r-clique.
-        let mut counts = vec![0usize; r_cliques.len() / r.max(1)];
-        let mut scratch: Vec<usize> = Vec::with_capacity(group + 1);
-        let mut combo: Vec<VertexId> = vec![0; r];
-        for sc in s_cliques.chunks(s) {
-            for_each_combination(sc, r, &mut combo, &mut |c| {
-                let id = index[c];
-                counts[id] += 1;
-            });
-        }
-        let n_r = counts.len();
-        let mut cont_offsets = vec![0usize; n_r + 1];
-        for i in 0..n_r {
-            cont_offsets[i + 1] = cont_offsets[i] + counts[i];
-        }
-        let mut others_flat = vec![0usize; cont_offsets[n_r] * group];
-        let mut cursor = cont_offsets.clone();
-        for sc in s_cliques.chunks(s) {
-            // Member r-clique ids of this s-clique.
-            scratch.clear();
-            for_each_combination(sc, r, &mut combo, &mut |c| {
-                scratch.push(index[c]);
-            });
-            for (k, &member) in scratch.iter().enumerate() {
-                let at = cursor[member];
-                cursor[member] += 1;
-                let base = at * group;
-                let mut w = 0;
-                for (j, &other) in scratch.iter().enumerate() {
-                    if j != k {
-                        others_flat[base + w] = other;
-                        w += 1;
-                    }
+        // Member r-clique ids of every s-clique, `subsets` per s-clique.
+        let combos = combinations(s, r);
+        let subsets = combos.len() / r;
+        let mut members: Vec<u32> = Vec::new();
+        let (mut sorted, mut tuple) = (vec![0; s], vec![0; r]);
+        for_each_clique(graph, &orient, s, |vs, _, _| {
+            sorted.copy_from_slice(vs);
+            sorted.sort_unstable();
+            for combo in combos.chunks_exact(r) {
+                for (t, &at) in tuple.iter_mut().zip(combo) {
+                    *t = sorted[at];
                 }
+                members.push(r_cliques.id_of(&tuple));
+            }
+        });
+
+        // Rows: count, prefix-sum, fill.
+        let n = r_cliques.len();
+        let group = subsets - 1;
+        let mut offsets = vec![0usize; n + 1];
+        for &m in &members {
+            offsets[m as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut others = vec![0u32; offsets[n] * group];
+        let mut cursor = offsets.clone();
+        for container in members.chunks_exact(subsets) {
+            for (j, &m) in container.iter().enumerate() {
+                let at = cursor[m as usize] * group;
+                cursor[m as usize] += 1;
+                let row = &mut others[at..at + group];
+                row[..j].copy_from_slice(&container[..j]);
+                row[j..].copy_from_slice(&container[j + 1..]);
             }
         }
-
-        GenericSpace { graph, r, s, r_verts: r_cliques, cont_offsets, others_flat, group }
-    }
-
-    /// Number of r-cliques found.
-    pub fn num_r_cliques(&self) -> usize {
-        self.cont_offsets.len() - 1
-    }
-
-    /// Sorted vertices of r-clique `i`.
-    pub fn r_clique_vertices(&self, i: usize) -> &[VertexId] {
-        &self.r_verts[i * self.r..(i + 1) * self.r]
+        let flat = FlatContainers::from_rows(group, offsets, others);
+        CachedSpace::from_parts((r, s), format!("({r},{s}) nucleus"), flat, r_cliques.verts)
     }
 }
 
-impl CliqueSpace for GenericSpace<'_> {
-    fn num_cliques(&self) -> usize {
-        self.cont_offsets.len() - 1
-    }
-
-    fn initial_degrees(&self) -> Vec<u32> {
-        (0..self.num_cliques())
-            .map(|i| (self.cont_offsets[i + 1] - self.cont_offsets[i]) as u32)
-            .collect()
-    }
-
-    fn degree(&self, i: usize) -> u32 {
-        (self.cont_offsets[i + 1] - self.cont_offsets[i]) as u32
-    }
-
-    fn try_for_each_container<F: FnMut(&[usize]) -> std::ops::ControlFlow<()>>(
-        &self,
-        i: usize,
-        mut f: F,
-    ) -> std::ops::ControlFlow<()> {
-        for c in self.cont_offsets[i]..self.cont_offsets[i + 1] {
-            f(&self.others_flat[c * self.group..(c + 1) * self.group])?;
-        }
-        std::ops::ControlFlow::Continue(())
-    }
-
-    fn r(&self) -> usize {
-        self.r
-    }
-
-    fn s(&self) -> usize {
-        self.s
-    }
-
-    fn vertices_of(&self, i: usize, out: &mut Vec<VertexId>) {
-        out.extend_from_slice(self.r_clique_vertices(i));
-    }
-
-    fn name(&self) -> String {
-        format!("({},{}) generic", self.r, self.s)
-    }
-
-    fn prefers_flat_cache(&self) -> bool {
-        false // already materialized as flat CSR internally
-    }
-}
-
-/// Enumerates all k-cliques (vertices ascending), concatenated into one
-/// vector of length `count * k`.
-pub fn enumerate_cliques(g: &CsrGraph, k: usize) -> Vec<VertexId> {
-    let mut out = Vec::new();
-    if k == 0 {
-        return out;
-    }
-    let mut current: Vec<VertexId> = Vec::with_capacity(k);
-    for v in g.vertices() {
-        current.push(v);
-        if k == 1 {
-            out.push(v);
-        } else {
-            let candidates: Vec<VertexId> =
-                g.neighbors(v).iter().copied().filter(|&w| w > v).collect();
-            extend_cliques(g, k, &mut current, &candidates, &mut out);
-        }
-        current.pop();
-    }
-    out
-}
-
-fn extend_cliques(
-    g: &CsrGraph,
-    k: usize,
-    current: &mut Vec<VertexId>,
-    candidates: &[VertexId],
-    out: &mut Vec<VertexId>,
-) {
-    for (i, &w) in candidates.iter().enumerate() {
-        current.push(w);
-        if current.len() == k {
-            out.extend_from_slice(current);
-        } else {
-            // New candidates: later candidates adjacent to w.
-            let next: Vec<VertexId> =
-                candidates[i + 1..].iter().copied().filter(|&x| g.has_edge(w, x)).collect();
-            extend_cliques(g, k, current, &next, out);
-        }
-        current.pop();
-    }
-}
-
-/// Calls `f` with every size-`r` combination (ascending) of `set`.
-fn for_each_combination(
-    set: &[VertexId],
+/// The r-cliques of a graph, sorted lexicographically and grouped by
+/// first vertex.
+struct RCliques {
     r: usize,
-    combo: &mut Vec<VertexId>,
-    f: &mut impl FnMut(&[VertexId]),
-) {
-    fn rec(
-        set: &[VertexId],
-        r: usize,
-        start: usize,
-        combo: &mut Vec<VertexId>,
-        depth: usize,
-        f: &mut impl FnMut(&[VertexId]),
-    ) {
-        if depth == r {
-            f(&combo[..r]);
-            return;
+    /// Sorted vertex tuples, `r` per clique, concatenated.
+    verts: Vec<VertexId>,
+    /// `first[v]..first[v + 1]`: the ids of the r-cliques whose smallest
+    /// vertex is `v`.
+    first: Vec<usize>,
+}
+
+impl RCliques {
+    fn list(graph: &CsrGraph, orient: &Orientation, r: usize) -> Self {
+        let mut verts: Vec<VertexId> = Vec::new();
+        for_each_clique(graph, orient, r, |vs, _, _| {
+            let at = verts.len();
+            verts.extend_from_slice(vs);
+            verts[at..].sort_unstable();
+        });
+        assert!(verts.len() / r <= u32::MAX as usize, "r-clique count exceeds u32 id space");
+        let n = graph.num_vertices();
+        let mut sorted = vec![0; verts.len()];
+        let mut first = Vec::new();
+        for slot in (0..r).rev() {
+            first = counting_sort_by_slot(&verts, r, slot, n, &mut sorted);
+            std::mem::swap(&mut verts, &mut sorted);
         }
-        for i in start..=set.len() - (r - depth) {
-            combo[depth] = set[i];
-            rec(set, r, i + 1, combo, depth + 1, f);
-        }
+        RCliques { r, verts, first }
     }
-    if r <= set.len() {
-        rec(set, r, 0, combo, 0, f);
+
+    fn len(&self) -> usize {
+        self.verts.len() / self.r
+    }
+
+    /// The id of the r-clique with sorted vertices `tuple`.
+    fn id_of(&self, tuple: &[VertexId]) -> u32 {
+        let r = self.r;
+        let (mut lo, mut hi) = (self.first[tuple[0] as usize], self.first[tuple[0] as usize + 1]);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.verts[mid * r + 1..(mid + 1) * r].cmp(&tuple[1..]) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return mid as u32,
+            }
+        }
+        unreachable!("an r-subset of an s-clique is an r-clique")
     }
 }
 
-fn binom(n: usize, k: usize) -> usize {
-    if k > n {
-        return 0;
+/// Stable counting sort of the `r`-tuples of `src` into `dst` by the
+/// vertex in `slot`, `n` being the vertex count. Returns the bucket
+/// offsets: tuple ids `out[v]..out[v + 1]` of `dst` have `v` in `slot`.
+fn counting_sort_by_slot(
+    src: &[VertexId],
+    r: usize,
+    slot: usize,
+    n: usize,
+    dst: &mut [VertexId],
+) -> Vec<usize> {
+    let mut starts = vec![0usize; n + 1];
+    for tuple in src.chunks_exact(r) {
+        starts[tuple[slot] as usize + 1] += 1;
     }
-    let k = k.min(n - k);
-    let mut num = 1usize;
-    for i in 0..k {
-        num = num * (n - i) / (i + 1);
+    for v in 0..n {
+        starts[v + 1] += starts[v];
     }
-    num
+    let mut next = starts.clone();
+    for tuple in src.chunks_exact(r) {
+        let at = &mut next[tuple[slot] as usize];
+        dst[*at * r..(*at + 1) * r].copy_from_slice(tuple);
+        *at += 1;
+    }
+    starts
+}
+
+/// The `r`-subsets of `0..s` as ascending index tuples, lexicographic,
+/// concatenated.
+fn combinations(s: usize, r: usize) -> Vec<usize> {
+    let mut out = Vec::new();
+    let mut combo: Vec<usize> = (0..r).collect();
+    loop {
+        out.extend_from_slice(&combo);
+        let Some(i) = (0..r).rev().find(|&i| combo[i] < s - r + i) else {
+            return out;
+        };
+        combo[i] += 1;
+        for j in i + 1..r {
+            combo[j] = combo[j - 1] + 1;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convergence::LocalConfig;
+    use crate::peel::peel;
+    use crate::snd::snd;
+    use crate::space::CliqueSpace;
     use hdsd_graph::graph_from_edges;
 
     fn complete(n: u32) -> CsrGraph {
@@ -246,26 +190,26 @@ mod tests {
     #[test]
     fn clique_enumeration_counts_on_k5() {
         let g = complete(5);
-        assert_eq!(enumerate_cliques(&g, 1).len(), 5);
-        assert_eq!(enumerate_cliques(&g, 2).len() / 2, 10);
-        assert_eq!(enumerate_cliques(&g, 3).len() / 3, 10);
-        assert_eq!(enumerate_cliques(&g, 4).len() / 4, 5);
-        assert_eq!(enumerate_cliques(&g, 5).len() / 5, 1);
-        assert_eq!(enumerate_cliques(&g, 6).len(), 0);
+        let counts: Vec<usize> =
+            (1..5).map(|r| CachedSpace::from_graph(&g, r, r + 1).num_cliques()).collect();
+        assert_eq!(counts, [5, 10, 10, 5]);
+        // The one K5 is every K4's only container.
+        assert_eq!(CachedSpace::from_graph(&g, 4, 5).initial_degrees(), vec![1; 5]);
+        assert_eq!(CachedSpace::from_graph(&g, 4, 6).initial_degrees(), vec![0; 5]);
     }
 
     #[test]
     fn binom_values() {
-        assert_eq!(binom(4, 2), 6);
-        assert_eq!(binom(5, 3), 10);
-        assert_eq!(binom(3, 3), 1);
-        assert_eq!(binom(2, 3), 0);
+        let sizes: Vec<usize> =
+            [(4, 2), (5, 3), (3, 3), (5, 1)].map(|(s, r)| combinations(s, r).len() / r).to_vec();
+        assert_eq!(sizes, [6, 10, 1, 5]);
+        assert_eq!(combinations(4, 2), [0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3]);
     }
 
     #[test]
     fn generic_12_matches_core_semantics() {
         let g = graph_from_edges([(0, 1), (0, 2), (1, 2), (2, 3)]);
-        let sp = GenericSpace::new(&g, 1, 2);
+        let sp = CachedSpace::from_graph(&g, 1, 2);
         assert_eq!(sp.num_cliques(), 4);
         assert_eq!(sp.initial_degrees(), vec![2, 2, 3, 1]);
         let mut containers = Vec::new();
@@ -277,7 +221,7 @@ mod tests {
     #[test]
     fn generic_23_matches_truss_semantics_on_k4() {
         let g = complete(4);
-        let sp = GenericSpace::new(&g, 2, 3);
+        let sp = CachedSpace::from_graph(&g, 2, 3);
         assert_eq!(sp.num_cliques(), 6);
         assert_eq!(sp.initial_degrees(), vec![2; 6]);
         // every container has 2 others
@@ -288,7 +232,7 @@ mod tests {
     fn generic_14_exotic_space() {
         // (1,4): vertices scored by K4 participation.
         let g = complete(5);
-        let sp = GenericSpace::new(&g, 1, 4);
+        let sp = CachedSpace::from_graph(&g, 1, 4);
         // every vertex of K5 is in binom(4,3)=4 K4s
         assert_eq!(sp.initial_degrees(), vec![4; 5]);
         sp.for_each_container(0, |o| assert_eq!(o.len(), 3));
@@ -296,18 +240,56 @@ mod tests {
 
     #[test]
     fn r_clique_vertices_are_sorted() {
-        let g = complete(4);
-        let sp = GenericSpace::new(&g, 3, 4);
-        for i in 0..sp.num_cliques() {
-            let vs = sp.r_clique_vertices(i);
-            assert!(vs.windows(2).all(|w| w[0] < w[1]));
-        }
+        let g = complete(5);
+        let sp = CachedSpace::from_graph(&g, 3, 4);
+        let tuples: Vec<&[VertexId]> =
+            (0..sp.num_cliques()).map(|i| sp.clique_vertices(i)).collect();
+        assert!(tuples.iter().all(|vs| vs.windows(2).all(|w| w[0] < w[1])));
+        assert!(tuples.windows(2).all(|w| w[0] < w[1]), "lexicographic ids");
     }
 
     #[test]
-    #[should_panic(expected = "GenericSpace requires")]
+    #[should_panic(expected = "requires 0 < r < s")]
     fn rejects_bad_rs() {
         let g = complete(3);
-        GenericSpace::new(&g, 2, 2);
+        CachedSpace::from_graph(&g, 2, 2);
+    }
+
+    #[test]
+    fn degrees_count_vertex_triangles() {
+        let g = complete(5);
+        let sp = CachedSpace::from_graph(&g, 1, 3);
+        // each vertex of K5 is in binom(4,2) = 6 triangles
+        assert_eq!(sp.initial_degrees(), vec![6; 5]);
+    }
+
+    #[test]
+    fn containers_fire_once_per_triangle() {
+        let g = graph_from_edges([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)]);
+        let sp = CachedSpace::from_graph(&g, 1, 3);
+        let mut containers = Vec::new();
+        sp.for_each_container(2, |others| containers.push(others.to_vec()));
+        containers.sort();
+        assert_eq!(containers, [[0, 1], [3, 4]], "vertex 2 sits in both triangles of the bowtie");
+        assert_eq!(sp.degree(2), 2);
+    }
+
+    #[test]
+    fn local_algorithms_work_on_13() {
+        let g = hdsd_datasets::holme_kim(150, 4, 0.6, 8);
+        let sp = CachedSpace::from_graph(&g, 1, 3);
+        let exact = peel(&sp).kappa;
+        assert_eq!(snd(&sp, &LocalConfig::default()).tau, exact);
+        assert_eq!(
+            crate::asynchronous::and(&sp, &LocalConfig::default(), &crate::Order::Natural).tau,
+            exact
+        );
+    }
+
+    #[test]
+    fn triangle_free_graph_is_all_zero() {
+        let g = graph_from_edges([(0, 1), (1, 2), (2, 3), (3, 0)]);
+        let sp = CachedSpace::from_graph(&g, 1, 3);
+        assert_eq!(peel(&sp).kappa, vec![0; 4]);
     }
 }

@@ -6,7 +6,8 @@
 //! each exposed as the list of the *other* r-cliques inside that s-clique.
 //! Peeling, Snd and And are generic over this trait, so one implementation
 //! of each algorithm serves k-core (1,2), k-truss (2,3), the (3,4) nucleus
-//! and the generic small-graph fallback.
+//! and every other (r, s): [`CachedSpace::from_graph`] builds any `r < s`
+//! as owned flat rows from the one clique lister of `hdsd-graph`.
 //!
 //! The paper's ρ computation maps directly onto this interface:
 //! `ρ(S, R) = min_{R' ⊂ S, R' ≠ R} τ(R')` is the minimum of `τ` over the
@@ -16,27 +17,24 @@
 pub mod cached;
 pub mod core12;
 pub mod flat;
-pub mod generic;
+mod generic;
 pub mod nucleus34;
 mod rows;
 pub mod truss23;
-pub mod vertex13;
 
 pub use cached::CachedSpace;
 pub use core12::CoreSpace;
 pub use flat::{others_per_container, FlatContainers};
-pub use generic::GenericSpace;
 pub use nucleus34::Nucleus34Space;
 pub(crate) use rows::resolve_rows;
 pub use truss23::TrussSpace;
-pub use vertex13::Vertex13Space;
 
 use hdsd_graph::VertexId;
 use hdsd_hindex::HBuffer;
 
-/// Maximum `binom(s, r) - 1` supported by the fixed-size container buffer.
-/// (1,2) → 1, (2,3) → 2, (3,4) → 3; the generic space may exceed this and
-/// uses its own storage.
+/// Maximum `binom(s, r) - 1` that [`CachedSpace`]'s container walk serves
+/// from a fixed-size buffer: (1,2) → 1, (2,3) → 2, (3,4) → 3. Wider spaces,
+/// such as (2,4) → 5, walk through one heap buffer per call.
 pub const MAX_OTHERS_INLINE: usize = 3;
 
 /// A universe of r-cliques and their s-clique containers.
@@ -95,15 +93,6 @@ pub trait CliqueSpace: Sync {
     /// Short human-readable name for reports, e.g. `"(2,3) k-truss"`.
     fn name(&self) -> String {
         format!("({},{}) nucleus", self.r(), self.s())
-    }
-
-    /// Whether materializing a [`FlatContainers`] cache is expected to speed
-    /// up iterative sweeps over this space. Defaults to `true`; spaces whose
-    /// native layout already *is* a flat CSR (the (1,2) core space, the
-    /// generic space) override this to `false` so the sweep drivers skip a
-    /// pointless copy.
-    fn prefers_flat_cache(&self) -> bool {
-        true
     }
 
     /// The space's resident [`FlatContainers`], when its containers are

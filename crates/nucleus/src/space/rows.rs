@@ -7,9 +7,8 @@
 //! 1. rows the space already owns ([`CliqueSpace::as_flat`], i.e. a
 //!    [`CachedSpace`](super::CachedSpace)) are used in place — they cost
 //!    nothing, so any `Some` budget admits them;
-//! 2. otherwise rows are built for the run when the space says a copy would
-//!    help and its estimated footprint fits the byte budget
-//!    ([`FlatContainers::build_within`]);
+//! 2. otherwise rows are built for the run when their estimated footprint
+//!    fits the byte budget ([`FlatContainers::build_within`]);
 //! 3. otherwise the run walks.
 //!
 //! A budget of `None` means "walk", even over resident rows: it is how the
@@ -35,7 +34,7 @@ pub(crate) fn resolve_rows<S: CliqueSpace>(
 
 #[cfg(test)]
 mod tests {
-    use super::super::{CachedSpace, CoreSpace, GenericSpace, TrussSpace};
+    use super::super::{CachedSpace, CoreSpace, TrussSpace};
     use super::*;
     use crate::convergence::DEFAULT_CONTAINER_CACHE_BUDGET as BUDGET;
 
@@ -55,18 +54,16 @@ mod tests {
             }
         }
 
-        // A space that prefers a cache gets one built within the budget…
+        // Any other space gets rows built within the budget…
+        let core = CoreSpace::new(&g);
         for budget in [BUDGET, need] {
             assert!(matches!(resolve_rows(&truss, Some(budget)), Some(Cow::Owned(_))));
         }
+        assert!(matches!(resolve_rows(&core, Some(BUDGET)), Some(Cow::Owned(_))));
         // …and walks one byte under it.
         assert!(resolve_rows(&truss, Some(need - 1)).is_none());
-
-        // Spaces whose layout is already flat walk whatever the budget.
-        let core = CoreSpace::new(&g);
-        let gen13 = GenericSpace::new(&g, 1, 3);
-        assert!(resolve_rows(&core, Some(usize::MAX)).is_none());
-        assert!(resolve_rows(&gen13, Some(usize::MAX)).is_none());
+        let core_need = FlatContainers::estimate_bytes(&core);
+        assert!(resolve_rows(&core, Some(core_need - 1)).is_none());
 
         // No budget means walk, resident rows or not.
         assert!(resolve_rows(&cached, None).is_none());

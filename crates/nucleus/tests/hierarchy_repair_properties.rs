@@ -25,11 +25,14 @@
 use hdsd_graph::{CsrGraph, TriangleList, VertexId};
 use hdsd_nucleus::{
     assert_forest_eq, build_hierarchy, build_hierarchy_within, peel, update_space, CachedSpace,
-    CancelToken, CliqueSpace, CoreSpace, GenericSpace, GraphStep, Hierarchy, Nucleus34Space,
-    RepairStats, SpaceSel, TrussSpace,
+    CancelToken, CliqueSpace, CoreSpace, GraphStep, Hierarchy, Nucleus34Space, RepairStats,
+    SpaceSel, TrussSpace,
 };
 use proptest::prelude::*;
 use proptest::splitmix64 as splitmix;
+
+mod common;
+use common::BruteSpace;
 
 type Batch = Vec<(VertexId, VertexId)>;
 
@@ -180,7 +183,7 @@ fn every_access_path_names_the_pinned_cancel_stages() {
     cancelled_builds_name_the_stage(&CoreSpace::new(&g));
     cancelled_builds_name_the_stage(&TrussSpace::on_the_fly(&g));
     cancelled_builds_name_the_stage(&Nucleus34Space::precomputed(&g));
-    cancelled_builds_name_the_stage(&GenericSpace::new(&g, 1, 3));
+    cancelled_builds_name_the_stage(&CachedSpace::from_graph(&g, 1, 3));
     cancelled_builds_name_the_stage(&CachedSpace::build(&TrussSpace::precomputed(&g)));
 }
 
@@ -198,7 +201,20 @@ proptest! {
         native_and_cached_rows_agree(&CoreSpace::new(&g));
         native_and_cached_rows_agree(&TrussSpace::on_the_fly(&g));
         native_and_cached_rows_agree(&Nucleus34Space::precomputed(&g));
-        native_and_cached_rows_agree(&GenericSpace::new(&g, 1, 3));
+    }
+
+    #[test]
+    fn generic_forests_match_the_brute_force_space(
+        edges in proptest::collection::vec((0u32..16, 0u32..16), 0..100),
+    ) {
+        let g = hdsd_graph::GraphBuilder::new().edges(edges).build();
+        for (r, s) in [(1, 3), (2, 4)] {
+            let built = CachedSpace::from_graph(&g, r, s);
+            let brute = BruteSpace::new(&g, r, s);
+            let kappa = peel(&brute).kappa;
+            prop_assert_eq!(&peel(&built).kappa, &kappa, "({}, {})", r, s);
+            assert_forest_eq(&build_hierarchy(&built, &kappa), &build_hierarchy(&brute, &kappa));
+        }
     }
 
     #[test]

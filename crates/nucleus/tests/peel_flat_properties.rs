@@ -2,15 +2,16 @@
 //! graphs, [`peel_flat`] (and the reusable [`PeelEngine`], and the
 //! dispatching [`peel`]) must be **bit-identical** to the container-walk
 //! baseline [`peel_walk`] — κ, processing order, max κ, and the
-//! deterministic work counters — across every clique space, including the
-//! dynamic-width generic space. So must [`PeelEngine::peel_under`] with an
-//! unarmed token, and the frozen [`peel_parallel`] alias in κ and counters.
+//! deterministic work counters — across every clique space, including
+//! generic (r, s) spaces wider than every monomorphized arity. So must
+//! [`PeelEngine::peel_under`] with an unarmed token, and the frozen
+//! [`peel_parallel`] alias in κ and counters.
 //! On one fixed graph the counters' values are pinned exactly. Runs under
 //! the nightly slow-props budget (`PROPTEST_CASES`).
 
 use hdsd_nucleus::{
-    peel, peel_flat, peel_parallel, peel_walk, CancelToken, CliqueSpace, CoreSpace, FlatContainers,
-    GenericSpace, Nucleus34Space, PeelEngine, TrussSpace,
+    peel, peel_flat, peel_parallel, peel_walk, CachedSpace, CancelToken, CliqueSpace, CoreSpace,
+    FlatContainers, Nucleus34Space, PeelEngine, TrussSpace,
 };
 use hdsd_parallel::ParallelConfig;
 use proptest::prelude::*;
@@ -71,11 +72,11 @@ proptest! {
         check_space(&Nucleus34Space::precomputed(&g), &mut engine);
         // The generic enumerator at group = binom(3,1) − 1 = 2 (same width
         // as truss, different id/order structure)...
-        check_space(&GenericSpace::new(&g, 1, 3), &mut engine);
+        check_space(&CachedSpace::from_graph(&g, 1, 3), &mut engine);
         // ...and at group = binom(4,2) − 1 = 5, which exceeds every
         // monomorphized arity and exercises the width-at-runtime fallback
         // (run::<0>).
-        check_space(&GenericSpace::new(&g, 2, 4), &mut engine);
+        check_space(&CachedSpace::from_graph(&g, 2, 4), &mut engine);
     }
 
     #[test]

@@ -195,6 +195,24 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     format!("internal panic: {msg}")
 }
 
+/// What [`optional`] names for the integer fields.
+const INTEGER: &str = "a non-negative integer";
+
+/// An optional request field read through `parse`: `None` when absent, an
+/// error naming `field` and the expected `kind` when present but
+/// malformed — never a silent default.
+fn optional<'a, T>(
+    req: &'a Json,
+    field: &str,
+    parse: impl FnOnce(&'a Json) -> Option<T>,
+    kind: &str,
+) -> Result<Option<T>, String> {
+    match req.get(field) {
+        None => Ok(None),
+        Some(v) => parse(v).map(Some).ok_or_else(|| format!("\"{field}\" must be {kind}")),
+    }
+}
+
 /// A handled request: the response line plus whether to shut down.
 pub struct Handled {
     /// Response JSON (no trailing newline).
@@ -454,7 +472,7 @@ impl Server {
             .ok_or_else(|| "missing string field \"op\"".to_string())?;
         // The request's full cancellation scope: the connection's
         // disconnect/shed flag plus this request's own `deadline_ms`.
-        let cancel = conn_cancel.clone().and_deadline(Self::deadline_of(req));
+        let cancel = conn_cancel.clone().and_deadline(Self::deadline_of(req)?);
         // Write-lane ops: serialize on the writer mutex, publish an epoch.
         match op {
             "insert" => return Ok((self.update(Some(req), None, &cancel)?, false)),
@@ -502,7 +520,7 @@ impl Server {
     /// `ms` milliseconds, honoring cancellation — the chaos harness's
     /// stand-in for a request stuck in a slow kernel.
     fn debug_stall(req: &Json, cancel: &CancelToken) -> Result<Json, String> {
-        let ms = req.get("ms").and_then(Json::as_u64).unwrap_or(100).min(10_000);
+        let ms = optional(req, "ms", Json::as_u64, INTEGER)?.unwrap_or(100).min(10_000);
         let until = Instant::now() + Duration::from_millis(ms);
         let armed = cancel.is_armed();
         while Instant::now() < until {
@@ -526,8 +544,8 @@ impl Server {
     /// (vertex / edge endpoints / triangle) through the pinned view's
     /// resident substrate.
     fn clique_of(view: &EngineView, req: &Json, sel: SpaceSel) -> Result<usize, String> {
-        if let Some(id) = req.get("id") {
-            return id.as_usize().ok_or_else(|| "\"id\" must be a non-negative integer".into());
+        if let Some(id) = optional(req, "id", Json::as_usize, INTEGER)? {
+            return Ok(id);
         }
         if let Some(vs) = req.get("vertices") {
             let vs = vs.as_array().ok_or("\"vertices\" must be an array")?;
@@ -628,7 +646,7 @@ impl Server {
             iterations: 2,
             budget: Some(DEGRADED_BUDGET),
             lower_bound: true,
-            deadline: Self::deadline_of(req),
+            deadline: Self::deadline_of(req)?,
         };
         let est = view.estimate(sel, id, &opts)?;
         self.shared.overload.on_degraded();
@@ -646,20 +664,19 @@ impl Server {
     }
 
     /// Parses an optional `"deadline_ms"` field into an absolute instant.
-    fn deadline_of(req: &Json) -> Option<Instant> {
-        req.get("deadline_ms")
-            .and_then(Json::as_u64)
-            .map(|ms| Instant::now() + Duration::from_millis(ms))
+    fn deadline_of(req: &Json) -> Result<Option<Instant>, String> {
+        let ms = optional(req, "deadline_ms", Json::as_u64, INTEGER)?;
+        Ok(ms.map(|ms| Instant::now() + Duration::from_millis(ms)))
     }
 
     fn estimate(view: &EngineView, req: &Json) -> Result<Json, String> {
         let sel = Self::space_of(req)?;
         let id = Self::clique_of(view, req, sel)?;
         let opts = QueryOptions {
-            iterations: req.get("iterations").and_then(Json::as_usize).unwrap_or(3),
-            budget: req.get("budget").and_then(Json::as_usize),
-            lower_bound: req.get("lower_bound").and_then(Json::as_bool).unwrap_or(true),
-            deadline: Self::deadline_of(req),
+            iterations: optional(req, "iterations", Json::as_usize, INTEGER)?.unwrap_or(3),
+            budget: optional(req, "budget", Json::as_usize, INTEGER)?,
+            lower_bound: optional(req, "lower_bound", Json::as_bool, "a boolean")?.unwrap_or(true),
+            deadline: Self::deadline_of(req)?,
         };
         let est = view.estimate(sel, id, &opts)?;
         Ok(obj([
@@ -682,7 +699,7 @@ impl Server {
             .and_then(Json::as_u64)
             .ok_or_else(|| "missing integer field \"k\"".to_string())?;
         let k = u32::try_from(k).map_err(|_| format!("\"k\" must be at most {}", u32::MAX))?;
-        let limit = req.get("limit").and_then(Json::as_usize).unwrap_or(32);
+        let limit = optional(req, "limit", Json::as_usize, INTEGER)?.unwrap_or(32);
         let nuclei = view.nuclei_at_under(sel, k, cancel)?;
         let total = nuclei.len();
         Ok(obj([
@@ -719,7 +736,7 @@ impl Server {
     fn region(&self, view: &EngineView, req: &Json, cancel: &CancelToken) -> Result<Json, String> {
         let sel = Self::space_of(req)?;
         let id = Self::clique_of(view, req, sel)?;
-        let max_vertices = req.get("max_vertices").and_then(Json::as_usize).unwrap_or(64);
+        let max_vertices = optional(req, "max_vertices", Json::as_usize, INTEGER)?.unwrap_or(64);
         // Brownout tier 1+: when the hierarchy is cold (the exact answer
         // would pay a full materialization), answer the budgeted
         // estimate instead. A resident hierarchy keeps answering exactly
@@ -739,7 +756,7 @@ impl Server {
             .ok_or_else(|| "missing integer field \"node\"".to_string())?;
         let node =
             u32::try_from(node).map_err(|_| format!("hierarchy node {node} out of range"))?;
-        let max_vertices = req.get("max_vertices").and_then(Json::as_usize).unwrap_or(64);
+        let max_vertices = optional(req, "max_vertices", Json::as_usize, INTEGER)?.unwrap_or(64);
         if self.shared.overload.degrade_region() && !view.hierarchy_resident(sel)? {
             // In the vertex (core) space the node is its own 1-clique, so
             // it has a budgeted estimate. Higher-r spaces have no cheap
@@ -1317,6 +1334,35 @@ mod tests {
                 before.get(field).unwrap().as_u64(),
                 "{field} drifted"
             );
+        }
+    }
+
+    #[test]
+    fn malformed_optional_fields_are_errors_not_defaults() {
+        let mut s = demo_server();
+        let before = ok(&mut s, r#"{"op":"stats"}"#);
+        let cases = [
+            (r#"{"op":"estimate","space":"core","id":2,"budget":"4"}"#, "\"budget\""),
+            (r#"{"op":"estimate","space":"core","id":2,"budget":-4}"#, "\"budget\""),
+            (r#"{"op":"estimate","space":"core","id":2,"iterations":"1"}"#, "\"iterations\""),
+            (r#"{"op":"estimate","space":"core","id":2,"lower_bound":"no"}"#, "\"lower_bound\""),
+            (r#"{"op":"estimate","space":"core","id":2,"deadline_ms":"0"}"#, "\"deadline_ms\""),
+            (r#"{"op":"region","space":"core","id":2,"max_vertices":"2"}"#, "\"max_vertices\""),
+            (r#"{"op":"node","space":"core","node":0,"max_vertices":2.5}"#, "\"max_vertices\""),
+            (r#"{"op":"nuclei","space":"core","k":1,"limit":"1"}"#, "\"limit\""),
+            (r#"{"op":"stats","deadline_ms":-1}"#, "\"deadline_ms\""),
+            (r#"{"op":"kappa","space":"core","id":"2"}"#, "\"id\""),
+        ];
+        for (line, field) in cases {
+            let e = err(&mut s, line);
+            assert!(e.starts_with(field) && e.contains(" must be "), "{line}: {e}");
+        }
+        // The well-formed spelling of the first case is honoured.
+        let v = ok(&mut s, r#"{"op":"estimate","space":"core","id":2,"budget":4}"#);
+        assert_eq!(v.get("truncated").and_then(Json::as_bool), Some(true));
+        let after = ok(&mut s, r#"{"op":"stats"}"#);
+        for field in ["vertices", "edges", "updates_applied", "epoch", "spaces"] {
+            assert_eq!(after.get(field), before.get(field), "{field} drifted");
         }
     }
 

@@ -1,11 +1,12 @@
 //! Exporting decomposition artifacts: κ tables as TSV and the nucleus
-//! forest as GraphViz dot, plus the (1,3) "triangle-core" extension space
-//! that shows what instantiating the framework for a new (r, s) costs.
+//! forest as GraphViz dot, plus the (1,3) "triangle-core" space that shows
+//! what instantiating the framework for a new (r, s) costs: one builder
+//! call.
 //!
 //! Run with: `cargo run --release --example export_results`
 //! Outputs land in `target/hdsd-exports/`.
 
-use hdsd::nucleus::{write_hierarchy_dot, write_kappa_tsv, Vertex13Space};
+use hdsd::nucleus::{write_hierarchy_dot, write_kappa_tsv};
 use hdsd::prelude::*;
 use std::fs::File;
 use std::io::BufWriter;
@@ -37,7 +38,7 @@ fn main() -> std::io::Result<()> {
     // --- the (1,3) extension space ---------------------------------------
     // Vertices scored by triangle participation: the "triangle k-core".
     // Same algorithms, new space — the framework's generality in action.
-    let v13 = Vertex13Space::new(&g);
+    let v13 = CachedSpace::from_graph(&g, 1, 3);
     let exact13 = peel(&v13);
     let local13 = snd(&v13, &LocalConfig::default());
     assert_eq!(local13.tau, exact13.kappa);

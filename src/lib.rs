@@ -63,7 +63,7 @@ pub mod prelude {
     pub use hdsd_nucleus::{
         and, and_opts, build_hierarchy, degree_levels, estimate_core_numbers,
         estimate_truss_numbers, local_estimate, peel, peel_parallel, snd, snd_with_observer,
-        AndOptions, CliqueSpace, ConvergenceResult, CoreSpace, GenericSpace, LocalConfig,
+        AndOptions, CachedSpace, CliqueSpace, ConvergenceResult, CoreSpace, LocalConfig,
         Nucleus34Space, Order, SweepMode, TrussSpace,
     };
     pub use hdsd_parallel::{ParallelConfig, SchedulerStats};

@@ -1,15 +1,27 @@
 //! Cross-crate integration: every algorithm (peeling sequential/parallel,
 //! Snd sequential/parallel, And in several orders with and without
 //! notification) must produce identical κ indices on arbitrary graphs, for
-//! every decomposition space — including the explicit-hypergraph generic
-//! space as an independent oracle.
+//! every decomposition space. The generic (r, s) builder is held to the
+//! specialized spaces elementwise and to a brute-force space that tests
+//! every vertex subset, the independent oracle.
 
 use hdsd::prelude::*;
 use proptest::prelude::*;
 
+#[path = "../crates/nucleus/tests/common/mod.rs"]
+mod common;
+use common::{sorted_row, BruteSpace};
+
 /// Arbitrary small graph as an edge list over `n ≤ 24` vertices.
 fn arb_graph() -> impl Strategy<Value = hdsd::graph::CsrGraph> {
     proptest::collection::vec((0u32..24, 0u32..24), 0..120)
+        .prop_map(|edges| hdsd::graph::GraphBuilder::new().edges(edges).build())
+}
+
+/// Arbitrary graph on `n ≤ 16` vertices, dense enough for K5s: the range
+/// the brute-force space covers.
+fn arb_small_graph() -> impl Strategy<Value = hdsd::graph::CsrGraph> {
+    proptest::collection::vec((0u32..16, 0u32..16), 0..100)
         .prop_map(|edges| hdsd::graph::GraphBuilder::new().edges(edges).build())
 }
 
@@ -51,7 +63,7 @@ proptest! {
         check_access_path_is_invisible(&CoreSpace::new(&g));
         check_access_path_is_invisible(&TrussSpace::precomputed(&g));
         check_access_path_is_invisible(&Nucleus34Space::precomputed(&g));
-        check_access_path_is_invisible(&GenericSpace::new(&g, 1, 3));
+        check_access_path_is_invisible(&CachedSpace::from_graph(&g, 1, 3));
     }
 }
 
@@ -97,22 +109,24 @@ proptest! {
 
     #[test]
     fn generic_space_is_consistent_oracle(g in arb_graph()) {
-        // (1,2) generic == core space.
+        // (1,2) generic == core space, (2,3) generic == truss space: ids
+        // are vertex ids and edge ids, so degrees, rows and κ align.
         let core = CoreSpace::new(&g);
-        let gen12 = GenericSpace::new(&g, 1, 2);
+        let gen12 = CachedSpace::from_graph(&g, 1, 2);
+        same_space(&gen12, &core);
         prop_assert_eq!(&peel(&gen12).kappa, &peel(&core).kappa);
 
-        // (2,3) generic == truss space (ids align lexicographically).
         let truss = TrussSpace::precomputed(&g);
-        let gen23 = GenericSpace::new(&g, 2, 3);
+        let gen23 = CachedSpace::from_graph(&g, 2, 3);
+        same_space(&gen23, &truss);
         prop_assert_eq!(&peel(&gen23).kappa, &peel(&truss).kappa);
 
         // Exotic (1,3): vertices by triangle participation — snd == peel.
-        let gen13 = GenericSpace::new(&g, 1, 3);
+        let gen13 = CachedSpace::from_graph(&g, 1, 3);
         prop_assert_eq!(&snd(&gen13, &LocalConfig::default()).tau, &peel(&gen13).kappa);
 
         // Exotic (2,4): edges by K4 participation — and == peel.
-        let gen24 = GenericSpace::new(&g, 2, 4);
+        let gen24 = CachedSpace::from_graph(&g, 2, 4);
         prop_assert_eq!(
             &and(&gen24, &LocalConfig::default(), &Order::Natural).tau,
             &peel(&gen24).kappa
@@ -121,29 +135,45 @@ proptest! {
 
     #[test]
     fn generic_34_matches_specialized_34(g in arb_graph()) {
-        // Triangle id orders differ between the TriangleList (orientation
-        // order) and GenericSpace (lexicographic), so compare multisets of
-        // (sorted triangle vertices, κ).
+        // Both number triangles lexicographically.
         let spec = Nucleus34Space::precomputed(&g);
-        let gen = GenericSpace::new(&g, 3, 4);
-        let k_spec = peel(&spec).kappa;
-        let k_gen = peel(&gen).kappa;
-        let mut a: Vec<([u32; 3], u32)> = spec
-            .triangles()
-            .tri_verts
-            .iter()
-            .zip(&k_spec)
-            .map(|(vs, &k)| (*vs, k))
-            .collect();
-        let mut b: Vec<([u32; 3], u32)> = (0..gen.num_r_cliques())
-            .map(|i| {
-                let vs = gen.r_clique_vertices(i);
-                ([vs[0], vs[1], vs[2]], k_gen[i])
-            })
-            .collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
+        let gen = CachedSpace::from_graph(&g, 3, 4);
+        same_space(&gen, &spec);
+        prop_assert_eq!(peel(&gen).kappa, peel(&spec).kappa);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn generic_builder_matches_brute_force_oracle(g in arb_small_graph()) {
+        for (r, s) in [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (2, 5)] {
+            let built = CachedSpace::from_graph(&g, r, s);
+            let brute = BruteSpace::new(&g, r, s);
+            prop_assert_eq!(built.num_cliques(), brute.num_cliques(), "({}, {})", r, s);
+            for i in 0..brute.num_cliques() {
+                prop_assert_eq!(built.clique_vertices(i), brute.clique(i), "({}, {}) clique {}", r, s, i);
+                prop_assert_eq!(sorted_row(&built, i), sorted_row(&brute, i), "({}, {}) row {}", r, s, i);
+            }
+            prop_assert_eq!(peel(&built).kappa, peel(&brute).kappa, "({}, {}) κ", r, s);
+        }
+    }
+}
+
+/// `a` and `b` are the same space: the same r-cliques under the same ids,
+/// with the same rows.
+fn same_space<A: CliqueSpace, B: CliqueSpace>(a: &A, b: &B) {
+    assert_eq!(a.num_cliques(), b.num_cliques(), "{} vs {}", a.name(), b.name());
+    assert_eq!(a.initial_degrees(), b.initial_degrees(), "{} vs {}", a.name(), b.name());
+    let (mut va, mut vb) = (Vec::new(), Vec::new());
+    for i in 0..a.num_cliques() {
+        va.clear();
+        vb.clear();
+        a.vertices_of(i, &mut va);
+        b.vertices_of(i, &mut vb);
+        assert_eq!(va, vb, "{} vs {}: vertices of {i}", a.name(), b.name());
+        assert_eq!(sorted_row(a, i), sorted_row(b, i), "{} vs {}: row {i}", a.name(), b.name());
     }
 }
 

@@ -10,7 +10,6 @@
 //! and to the scan identity instead of the frontier contract.
 
 use hdsd::datasets::{erdos_renyi_gnm, holme_kim};
-use hdsd::nucleus::Vertex13Space;
 use hdsd::prelude::*;
 use proptest::prelude::*;
 
@@ -67,7 +66,7 @@ proptest! {
         assert_frontier_exact(&CoreSpace::new(&g));
         assert_frontier_exact(&TrussSpace::precomputed(&g));
         assert_frontier_exact(&Nucleus34Space::precomputed(&g));
-        assert_frontier_exact(&Vertex13Space::new(&g));
+        assert_frontier_exact(&CachedSpace::from_graph(&g, 1, 3));
     }
 
     #[test]
@@ -184,14 +183,20 @@ fn parallel_and_is_exact_at_every_thread_count_order_and_mode() {
     }
 }
 
-/// GenericSpace exercises the walk path (it opts out of the flat cache):
-/// frontier scheduling must still match peeling there.
+/// Generic (r, s) spaces, (2,4) wider than the inline container buffer:
+/// frontier scheduling must match peeling over their resident rows and
+/// over their callback walk.
 #[test]
 fn frontier_on_generic_space_matches_peeling() {
-    let g = erdos_renyi_gnm(40, 160, 3);
-    let sp = GenericSpace::new(&g, 1, 3);
-    let exact = peel(&sp).kappa;
-    let r = and(&sp, &frontier_cfg(), &Order::Natural);
-    assert_eq!(r.tau, exact);
-    assert!(r.converged);
+    let g = holme_kim(80, 4, 0.8, 3);
+    for (r, s) in [(1, 3), (2, 4)] {
+        let sp = CachedSpace::from_graph(&g, r, s);
+        let exact = peel(&sp).kappa;
+        assert!(exact.iter().any(|&k| k > 1), "({r},{s}) has a non-trivial nucleus");
+        for cfg in [frontier_cfg(), frontier_cfg().without_container_cache()] {
+            let run = and(&sp, &cfg, &Order::Natural);
+            assert_eq!(run.tau, exact, "({r},{s})");
+            assert!(run.converged);
+        }
+    }
 }
