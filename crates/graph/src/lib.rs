@@ -21,8 +21,7 @@
 //! * [`cliques4`] — per-triangle 4-clique counts and the K4 list (the (3,4)
 //!   substrate): the lister's k = 4 cliques over the same orientation.
 //! * [`delta`] — incremental maintenance: apply a mixed edge batch to an
-//!   existing CSR by adjacency splicing (with stable edge-id remaps) and
-//!   keep the triangle substrate in sync without re-enumeration.
+//!   existing CSR by adjacency splicing, with stable edge-id remaps.
 //! * [`io`] — SNAP-style edge-list reader/writer so the paper's original
 //!   datasets can be dropped in unchanged.
 //!
@@ -45,9 +44,7 @@ pub use cliques::for_each_clique;
 pub use cliques4::{count_k4_per_triangle, total_k4, try_for_each_k4_of_triangle, K4List};
 pub use components::{connected_components, ComponentLabels};
 pub use csr::{CsrGraph, EdgeId, VertexId};
-pub use delta::{
-    apply_edge_batch, mark_k4_touched, triangle_delta, CsrDelta, TriangleDelta, NO_ID,
-};
+pub use delta::{apply_edge_batch, CsrDelta, NO_ID};
 pub use io::{read_edge_list, read_graph_binary, write_edge_list, write_graph_binary};
 pub use orientation::{degeneracy_order, degree_order, Orientation, VertexOrder};
 pub use subgraph::{density, density_of, induced_subgraph, InducedSubgraph};

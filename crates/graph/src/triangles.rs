@@ -55,10 +55,9 @@ pub fn total_triangles(g: &CsrGraph) -> u64 {
 ///
 /// Triangle ids are **canonical**: triangles are numbered in lexicographic
 /// order of their sorted vertex triples, independent of the enumeration
-/// orientation. This is what makes ids maintainable under edge updates —
-/// [`crate::delta::triangle_delta`] can splice destroyed/created triangles
-/// into the sorted list and land on exactly the ids a from-scratch build
-/// of the new graph would assign.
+/// orientation — the numbering every (3, s) space uses, so a space spliced
+/// across an edge batch lands on exactly the ids a from-scratch build of
+/// the new graph assigns.
 #[derive(Clone, Debug)]
 pub struct TriangleList {
     /// Vertices of each triangle, sorted ascending by id.
@@ -100,28 +99,13 @@ impl TriangleList {
         counting_sort_by_slot(&by_ac, 0, m, &mut tri_edges);
         drop(by_ac);
 
-        let tri_verts = tri_edges
+        let tri_verts: Vec<[VertexId; 3]> = tri_edges
             .iter()
             .map(|&[ab, ac, _]| {
                 let (a, b) = g.edge_endpoints(ab);
                 [a, b, g.edge_endpoints(ac).1]
             })
             .collect();
-        Self::from_sorted_parts(m, tri_verts, tri_edges)
-    }
-
-    /// Assembles a list from canonical parts: `tri_verts` sorted
-    /// lexicographically (each triple itself ascending) with `tri_edges`
-    /// aligned (`[ab, ac, bc]` for sorted vertices `a < b < c`). Builds the
-    /// edge↔triangle incidence; `m` is the graph's edge count.
-    ///
-    /// Shared by [`TriangleList::build_with`] and the incremental
-    /// maintenance in [`crate::delta`].
-    pub(crate) fn from_sorted_parts(
-        m: usize,
-        tri_verts: Vec<[VertexId; 3]>,
-        tri_edges: Vec<[EdgeId; 3]>,
-    ) -> Self {
         assert!(
             tri_verts.len() <= u32::MAX as usize,
             "triangle count {} exceeds u32 id space",

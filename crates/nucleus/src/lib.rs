@@ -67,7 +67,7 @@ pub use cancel::{CancelReason, CancelToken, Cancelled};
 pub use convergence::{
     ConvergenceResult, IterationEvent, LocalConfig, SweepMode, DEFAULT_CONTAINER_CACHE_BUDGET,
 };
-pub use delta::{core_space_delta, nucleus34_space_delta, truss_space_delta, SpaceDelta};
+pub use delta::{space_delta, SpaceDelta};
 pub use export::{
     read_snapshot, write_hierarchy_dot, write_kappa_tsv, write_snapshot, Snapshot, SpaceSnapshot,
     SNAPSHOT_MAGIC, SNAPSHOT_MIN_VERSION, SNAPSHOT_VERSION,

@@ -88,10 +88,36 @@ impl CachedSpace {
         &self.clique_verts[i * r..(i + 1) * r]
     }
 
+    /// The id of the r-clique with sorted vertices `tuple`, `None` when
+    /// it is not one. Ids are lexicographic by sorted vertex tuple, as
+    /// every builder numbers them, so this is a binary search.
+    pub fn clique_id(&self, tuple: &[VertexId]) -> Option<usize> {
+        find_tuple(&self.clique_verts, self.rs.0, tuple)
+    }
+
     /// Heap bytes held by the snapshot.
     pub fn heap_bytes(&self) -> usize {
         self.flat.heap_bytes() + self.clique_verts.len() * std::mem::size_of::<VertexId>()
     }
+}
+
+/// The position of `tuple` in `verts`, a lexicographically sorted list
+/// of `r`-tuples, concatenated: the one r-clique lookup of the builder,
+/// the splice and [`CachedSpace::clique_id`].
+pub(crate) fn find_tuple(verts: &[VertexId], r: usize, tuple: &[VertexId]) -> Option<usize> {
+    if tuple.len() != r {
+        return None;
+    }
+    let (mut lo, mut hi) = (0, verts.len() / r);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        match verts[mid * r..(mid + 1) * r].cmp(tuple) {
+            std::cmp::Ordering::Less => lo = mid + 1,
+            std::cmp::Ordering::Greater => hi = mid,
+            std::cmp::Ordering::Equal => return Some(mid),
+        }
+    }
+    None
 }
 
 impl CliqueSpace for CachedSpace {

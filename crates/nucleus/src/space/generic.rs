@@ -19,7 +19,7 @@
 
 use hdsd_graph::{for_each_clique, CsrGraph, Orientation, VertexId};
 
-use super::{CachedSpace, FlatContainers};
+use super::{find_tuple, CachedSpace, FlatContainers};
 
 impl CachedSpace {
     /// Builds the (r, s) space of `graph`: its r-cliques, numbered
@@ -109,19 +109,14 @@ impl RCliques {
         self.verts.len() / self.r
     }
 
-    /// The id of the r-clique with sorted vertices `tuple`.
+    /// The id of the r-clique with sorted vertices `tuple`, searched in
+    /// its first vertex's group.
     fn id_of(&self, tuple: &[VertexId]) -> u32 {
         let r = self.r;
-        let (mut lo, mut hi) = (self.first[tuple[0] as usize], self.first[tuple[0] as usize + 1]);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match self.verts[mid * r + 1..(mid + 1) * r].cmp(&tuple[1..]) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return mid as u32,
-            }
-        }
-        unreachable!("an r-subset of an s-clique is an r-clique")
+        let (lo, hi) = (self.first[tuple[0] as usize], self.first[tuple[0] as usize + 1]);
+        let at = find_tuple(&self.verts[lo * r..hi * r], r, tuple)
+            .expect("an r-subset of an s-clique is an r-clique");
+        (lo + at) as u32
     }
 }
 
@@ -153,7 +148,7 @@ fn counting_sort_by_slot(
 
 /// The `r`-subsets of `0..s` as ascending index tuples, lexicographic,
 /// concatenated.
-fn combinations(s: usize, r: usize) -> Vec<usize> {
+pub(crate) fn combinations(s: usize, r: usize) -> Vec<usize> {
     let mut out = Vec::new();
     let mut combo: Vec<usize> = (0..r).collect();
     loop {

@@ -22,9 +22,11 @@ pub mod nucleus34;
 mod rows;
 pub mod truss23;
 
+pub(crate) use cached::find_tuple;
 pub use cached::CachedSpace;
 pub use core12::CoreSpace;
 pub use flat::{others_per_container, FlatContainers};
+pub(crate) use generic::combinations;
 pub use nucleus34::Nucleus34Space;
 pub(crate) use rows::resolve_rows;
 pub use truss23::TrussSpace;

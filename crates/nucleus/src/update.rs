@@ -1,12 +1,12 @@
 //! The update step: one edge batch through one resident clique space.
 //!
 //! An update never re-enumerates anything. The batch is applied once to
-//! the shared substrate ([`GraphStep`]: the CSR splice and, when a
-//! triangle space is resident, the triangle-list splice). Each space then
-//! takes one [`update_space`] call:
+//! the shared graph ([`GraphStep`]: the CSR splice with its edge-id
+//! remaps). Each space then takes one [`update_space`] call:
 //!
-//! 1. **splice** its flat container rows across the batch
-//!    ([`crate::delta`]), so the new graph's rows are resident at once;
+//! 1. **splice** its r-clique list and flat container rows across the
+//!    batch ([`crate::delta::space_delta`], the same code for every
+//!    (r, s)), so the new graph's rows are resident at once;
 //! 2. **refresh** κ by [`refresh_kappa`]: one sequential bucket-queue peel
 //!    of those rows. The paper's Theorem 4 is why that is the right local
 //!    algorithm here — And converges in a single pass when r-cliques are
@@ -17,11 +17,12 @@
 //!    forest follows from local component information, so a batch only
 //!    rebuilds what it reached.
 //!
-//! r-clique **ids are not stable** across batches (edge and triangle ids
-//! are positional), so the repair reads the splice's new-id → old-id remap
-//! ([`crate::SpaceDelta::new_to_old`]). The one set it is seeded with —
-//! the surviving cliques whose container set changed — is a by-product of
-//! the splice ([`crate::SpaceDelta::touched`]), reported, not recomputed.
+//! r-clique **ids are not stable** across batches (they are positions in
+//! the lexicographic r-clique list), so the repair reads the splice's
+//! new-id → old-id remap ([`crate::SpaceDelta::new_to_old`]). The one set
+//! it is seeded with — the surviving cliques whose container set changed
+//! — is a by-product of the splice ([`crate::SpaceDelta::touched`]),
+//! reported, not recomputed.
 //!
 //! The serving engine (`hdsd-service`) runs exactly this step for every
 //! resident space, so the property suites that drive it prove the
@@ -29,13 +30,10 @@
 
 use std::time::Instant;
 
-use hdsd_graph::{
-    apply_edge_batch, triangle_delta, CsrDelta, CsrGraph, GraphBuilder, TriangleDelta,
-    TriangleList, VertexId,
-};
+use hdsd_graph::{apply_edge_batch, CsrDelta, CsrGraph, GraphBuilder, TriangleList, VertexId};
 
 use crate::cancel::{CancelToken, Cancelled};
-use crate::delta::{core_space_delta, nucleus34_space_delta, truss_space_delta};
+use crate::delta::space_delta;
 use crate::hierarchy::{Hierarchy, RepairStats};
 use crate::peel::{PeelEngine, PeelResult};
 use crate::space::{CachedSpace, CliqueSpace, CoreSpace, Nucleus34Space, TrussSpace};
@@ -85,14 +83,14 @@ impl SpaceSel {
         }
     }
 
-    /// Whether this space is built over the shared triangle list.
+    /// Whether this space's cold build reads a triangle list.
     pub fn needs_triangles(self) -> bool {
         !matches!(self, SpaceSel::Core)
     }
 
     /// Cold materialization of the space's rows over `graph`. A triangle
-    /// space reads `triangles`, which whoever keeps it resident builds once
-    /// and shares.
+    /// space reads `triangles`, which the caller builds once, shares
+    /// between the spaces that need it, and may drop afterwards.
     pub fn build_cached(self, graph: &CsrGraph, triangles: Option<&TriangleList>) -> CachedSpace {
         let tl = || triangles.expect("a triangle space is built over the shared triangle list");
         match self {
@@ -103,40 +101,28 @@ impl SpaceSel {
     }
 }
 
-/// One edge batch applied to the shared substrate, computed once per batch
+/// One edge batch applied to the shared graph, computed once per batch
 /// and read by every space's [`update_space`].
 pub struct GraphStep<'a> {
     /// The pre-batch graph.
     pub old_graph: &'a CsrGraph,
-    /// The pre-batch triangle list, when a triangle space is resident.
-    pub old_triangles: Option<&'a TriangleList>,
     /// The spliced graph.
     pub new_graph: CsrGraph,
     /// Edge-id remaps plus the ids actually inserted and removed.
     pub delta: CsrDelta,
-    /// The spliced triangle list with its remaps: `Some` iff
-    /// `old_triangles` is and the batch is not a no-op.
-    pub triangles: Option<TriangleDelta>,
 }
 
 impl<'a> GraphStep<'a> {
     /// Applies `insert` / `remove` to `old_graph` (duplicates, self-loops,
     /// present inserts and absent removals are ignored; the vertex set
-    /// grows to cover inserted endpoints) and, unless that changes
-    /// nothing, splices `old_triangles` along.
+    /// grows to cover inserted endpoints).
     pub fn new(
         old_graph: &'a CsrGraph,
-        old_triangles: Option<&'a TriangleList>,
         insert: &[(VertexId, VertexId)],
         remove: &[(VertexId, VertexId)],
     ) -> GraphStep<'a> {
         let (new_graph, delta) = apply_edge_batch(old_graph, insert, remove);
-        let mut step = GraphStep { old_graph, old_triangles, new_graph, delta, triangles: None };
-        if !step.is_noop() {
-            step.triangles =
-                old_triangles.map(|tl| triangle_delta(tl, &step.new_graph, &step.delta));
-        }
-        step
+        GraphStep { old_graph, new_graph, delta }
     }
 
     /// Whether the batch changes neither the edge set nor the vertex count.
@@ -169,16 +155,12 @@ pub struct SpaceStep {
     pub repair_us: u64,
 }
 
-/// Carries the space `sel` — rows `old`, optional forest `forest` — across
-/// the batch `step`: splice, refresh κ, repair the forest.
+/// Carries the space with rows `old` and optional forest `forest` across
+/// the batch `step`: splice, refresh κ, repair the forest. The space's
+/// (r, s) is read from `old`.
 ///
 /// `cancel` is probed by the refresh as the peel's `"peel drain"` stage; on
 /// `Err` nothing was produced and the caller keeps the old state.
-///
-/// # Panics
-///
-/// When `step` is a no-op and `sel` is a triangle space (there is no
-/// triangle splice to read; see [`GraphStep::is_noop`]).
 ///
 /// # Examples
 ///
@@ -188,13 +170,12 @@ pub struct SpaceStep {
 /// let g = hdsd_graph::graph_from_edges([(0, 1), (0, 2), (1, 2), (2, 3)]);
 /// let tl = hdsd_graph::TriangleList::build(&g);
 /// let rows = SpaceSel::Truss.build_cached(&g, Some(&tl));
-/// let step = GraphStep::new(&g, Some(&tl), &[(1, 3)], &[]);
-/// let up = update_space(SpaceSel::Truss, &rows, None, &step, &CancelToken::none()).unwrap();
+/// let step = GraphStep::new(&g, &[(1, 3)], &[]);
+/// let up = update_space(&rows, None, &step, &CancelToken::none()).unwrap();
 /// assert_eq!(up.kappa, peel(&up.cached).kappa);
 /// assert_eq!(up.kappa.iter().max(), Some(&1)); // (1,2) now sits in two triangles
 /// ```
 pub fn update_space(
-    sel: SpaceSel,
     old: &CachedSpace,
     forest: Option<&Hierarchy>,
     step: &GraphStep<'_>,
@@ -203,22 +184,7 @@ pub fn update_space(
     let t = Instant::now();
     let sd = {
         hdsd_telemetry::span!("update.splice");
-        let triangles = || {
-            let old_tl = step.old_triangles.expect("a triangle space keeps its triangle list");
-            let td = step.triangles.as_ref().expect("a non-no-op step splices the triangles");
-            (old_tl, td)
-        };
-        match sel {
-            SpaceSel::Core => core_space_delta(step.old_graph, &step.new_graph, &step.delta),
-            SpaceSel::Truss => {
-                let (old_tl, td) = triangles();
-                truss_space_delta(old, old_tl, &step.new_graph, &step.delta, td)
-            }
-            SpaceSel::Nucleus34 => {
-                let (old_tl, td) = triangles();
-                nucleus34_space_delta(old, step.old_graph, old_tl, &step.new_graph, &step.delta, td)
-            }
-        }
+        space_delta(old, step.old_graph, &step.new_graph, &step.delta)
     };
     let splice_us = micros_since(t);
 
@@ -308,18 +274,17 @@ mod tests {
     /// One space carried through `batches` the way the engine carries it,
     /// asserting κ against a cold peel after every batch.
     fn stays_exact(sel: SpaceSel, mut g: CsrGraph, batches: &[Batch]) {
-        let mut tl = sel.needs_triangles().then(|| TriangleList::build(&g));
-        let mut cached = sel.build_cached(&g, tl.as_ref());
+        let mut cached = sel.build_cached(&g, Some(&TriangleList::build(&g)));
         for (round, (ins, rm)) in batches.iter().enumerate() {
-            let step = GraphStep::new(&g, tl.as_ref(), ins, rm);
+            let step = GraphStep::new(&g, ins, rm);
             if step.is_noop() {
                 continue;
             }
-            let up = update_space(sel, &cached, None, &step, &CancelToken::none()).unwrap();
-            let GraphStep { new_graph, triangles, .. } = step;
-            let cold = sel.build_cached(&new_graph, triangles.as_ref().map(|td| &td.list));
+            let up = update_space(&cached, None, &step, &CancelToken::none()).unwrap();
+            g = step.new_graph;
+            let cold = sel.build_cached(&g, Some(&TriangleList::build(&g)));
             assert_eq!(up.kappa, peel(&cold).kappa, "{} round {round}", sel.name());
-            (g, tl, cached) = (new_graph, triangles.map(|td| td.list), up.cached);
+            cached = up.cached;
         }
     }
 
@@ -347,7 +312,7 @@ mod tests {
         for sel in ALL {
             stays_exact(sel, g.clone(), &batches);
         }
-        let step = GraphStep::new(&g, None, &[(130, 130)], &[]);
+        let step = GraphStep::new(&g, &[(130, 130)], &[]);
         assert!(!step.is_noop(), "a dropped insert naming a new vertex still grows the set");
         assert_eq!(step.new_graph.num_vertices(), 131);
     }
@@ -355,11 +320,9 @@ mod tests {
     #[test]
     fn batches_that_change_nothing_are_noops() {
         let g = hdsd_datasets::erdos_renyi_gnm(30, 60, 1);
-        let tl = TriangleList::build(&g);
         let present = g.edges()[3];
         for (ins, rm) in [(vec![], vec![]), (vec![present, (5, 5)], vec![(31, 32), (0, 0)])] {
-            let step = GraphStep::new(&g, Some(&tl), &ins, &rm);
-            assert!(step.is_noop() && step.triangles.is_none());
+            assert!(GraphStep::new(&g, &ins, &rm).is_noop());
         }
     }
 

@@ -1,18 +1,22 @@
 //! Property tests for the incremental update path: on random Holme–Kim
 //! graphs with random mixed insert/remove batches, the delta-maintained
 //! structures must be **structurally identical** to from-scratch builds at
-//! every layer (CSR, triangle list, container caches), the splice's
+//! every layer (CSR, r-clique lists, container caches), the splice's
 //! touched set must be exactly the surviving cliques whose container set
 //! changed, and the refreshed κ of the serving engine's update step
 //! (`GraphStep` + `update_space`) must stay bit-identical to a cold peel
-//! for all three spaces. Case counts are proptest-driven, so the nightly
-//! `slow-props` job's `PROPTEST_CASES` override deepens this suite too.
+//! for all three spaces. On small graphs the one splice is also held to a
+//! brute-force space for every (r, s) pair. Case counts are
+//! proptest-driven, so the nightly `slow-props` job's `PROPTEST_CASES`
+//! override deepens this suite too.
 
-use hdsd_graph::{apply_edge_batch, triangle_delta, CsrGraph, TriangleList, VertexId, NO_ID};
+mod common;
+
+use common::{sorted_row, BruteSpace};
+use hdsd_graph::{apply_edge_batch, graph_from_edges, CsrGraph, TriangleList, VertexId, NO_ID};
 use hdsd_nucleus::{
-    core_space_delta, nucleus34_space_delta, peel, rebuild_graph, truss_space_delta, update_space,
-    CachedSpace, CancelToken, CliqueSpace, CoreSpace, GraphStep, Nucleus34Space, SpaceDelta,
-    SpaceSel, TrussSpace,
+    peel, rebuild_graph, space_delta, update_space, CachedSpace, CancelToken, CliqueSpace,
+    GraphStep, SpaceDelta, SpaceSel,
 };
 
 use proptest::prelude::*;
@@ -57,15 +61,6 @@ fn assert_same_graph(a: &CsrGraph, b: &CsrGraph, ctx: &str) {
     for v in a.vertices() {
         assert_eq!(a.neighbors(v), b.neighbors(v), "{ctx}: neighbors of {v}");
         assert_eq!(a.neighbor_edge_ids(v), b.neighbor_edge_ids(v), "{ctx}: edge ids of {v}");
-    }
-}
-
-fn assert_same_triangles(a: &TriangleList, b: &TriangleList, m: usize, ctx: &str) {
-    assert_eq!(a.tri_verts, b.tri_verts, "{ctx}: triangle vertices");
-    assert_eq!(a.tri_edges, b.tri_edges, "{ctx}: triangle edges");
-    for e in 0..m as u32 {
-        assert_eq!(a.triangles_of_edge(e), b.triangles_of_edge(e), "{ctx}: incidence of {e}");
-        assert_eq!(a.thirds_of_edge(e), b.thirds_of_edge(e), "{ctx}: thirds of {e}");
     }
 }
 
@@ -131,8 +126,6 @@ proptest! {
         let base = hdsd_datasets::holme_kim(n, m, 0.5, seed);
         let g = hdsd_datasets::thin_edges(&base, 0.75, seed);
         let tl = TriangleList::build(&g);
-        let old_truss = CachedSpace::build(&TrussSpace::with_triangles(&g, &tl));
-        let old_n34 = CachedSpace::build(&Nucleus34Space::with_triangles(&g, &tl));
 
         let mut rng = 0xABCDEF ^ batch_seed;
         let (mut ins, rm) = random_batch(&g, &mut rng);
@@ -156,36 +149,118 @@ proptest! {
             }
         }
 
-        // Layer 2: the maintained triangle list matches a fresh build.
-        let td = triangle_delta(&tl, &g2, &ed);
-        assert_same_triangles(&td.list, &TriangleList::build(&g2), g2.num_edges(), &ctx);
-
-        // Layer 3: spliced container caches match cold builds.
-        let truss = truss_space_delta(&old_truss, &tl, &g2, &ed, &td);
-        assert_same_cached(
-            &truss.cached,
-            &CachedSpace::build(&TrussSpace::on_the_fly(&g2)),
-            &format!("{ctx} truss"),
-        );
-        let n34 = nucleus34_space_delta(&old_n34, &g, &tl, &g2, &ed, &td);
-        assert_same_cached(
-            &n34.cached,
-            &CachedSpace::build(&Nucleus34Space::on_the_fly(&g2)),
-            &format!("{ctx} nucleus34"),
-        );
-        let core = core_space_delta(&g, &g2, &ed);
-        assert_same_cached(
-            &core.cached,
-            &CachedSpace::build(&CoreSpace::new(&g2)),
-            &format!("{ctx} core"),
-        );
-
-        // Layer 4: each splice reports exactly the surviving cliques whose
+        // Layer 2: each spliced space (r-clique list and rows) matches a
+        // cold build, and reports exactly the surviving cliques whose
         // container set changed.
-        assert_touched_is_exact(&old_truss, &truss, &format!("{ctx} truss"));
-        assert_touched_is_exact(&old_n34, &n34, &format!("{ctx} nucleus34"));
-        let old_core = CachedSpace::build(&CoreSpace::new(&g));
-        assert_touched_is_exact(&old_core, &core, &format!("{ctx} core"));
+        let tl2 = TriangleList::build(&g2);
+        for sel in [SpaceSel::Core, SpaceSel::Truss, SpaceSel::Nucleus34] {
+            let ctx = format!("{ctx} {}", sel.name());
+            let old = sel.build_cached(&g, Some(&tl));
+            let sd = space_delta(&old, &g, &g2, &ed);
+            assert_same_cached(&sd.cached, &sel.build_cached(&g2, Some(&tl2)), &ctx);
+            assert_touched_is_exact(&old, &sd, &ctx);
+            assert_remap_keeps_vertices(&old, &sd, &ctx);
+            if sel == SpaceSel::Truss {
+                // For r = 2 the r-clique remap is the CSR's edge remap.
+                assert_eq!(sd.new_to_old, ed.new_to_old, "{ctx}: edge remap");
+            }
+        }
+    }
+}
+
+/// Every surviving r-clique (`new_to_old[i] != NO_ID`) names the same
+/// vertex tuple before and after the splice.
+fn assert_remap_keeps_vertices(old: &CachedSpace, sd: &SpaceDelta, ctx: &str) {
+    for (i, &o) in sd.new_to_old.iter().enumerate() {
+        if o != NO_ID {
+            assert_eq!(
+                sd.cached.clique_vertices(i),
+                old.clique_vertices(o as usize),
+                "{ctx}: remap of {i}"
+            );
+        }
+    }
+}
+
+/// The (r, s) pairs the brute-force splice check covers.
+const RS_PAIRS: [(usize, usize); 7] = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (2, 5)];
+
+/// A random graph on `n ≤ 16` vertices, dense enough for 5-cliques.
+fn small_graph(n: u32, p_percent: u64, rng: &mut u64) -> CsrGraph {
+    let mut edges = Vec::new();
+    for u in 0..n {
+        for v in u + 1..n {
+            if splitmix(rng) % 100 < p_percent {
+                edges.push((u, v));
+            }
+        }
+    }
+    hdsd_graph::GraphBuilder::new().with_num_vertices(n as usize).edges(edges).build()
+}
+
+/// The splice of one (r, s) space against [`BruteSpace`] on the new graph:
+/// r-clique lists equal elementwise, rows equal as multisets, `touched`
+/// exact, and every surviving id names the same vertex tuple.
+fn splice_matches_brute_force(g: &CsrGraph, ins: &[(u32, u32)], rm: &[(u32, u32)], ctx: &str) {
+    let (g2, ed) = apply_edge_batch(g, ins, rm);
+    for (r, s) in RS_PAIRS {
+        let ctx = format!("{ctx} ({r},{s})");
+        let old = CachedSpace::from_graph(g, r, s);
+        let sd = space_delta(&old, g, &g2, &ed);
+        let brute = BruteSpace::new(&g2, r, s);
+        assert_eq!(sd.cached.num_cliques(), brute.num_cliques(), "{ctx}: clique count");
+        for i in 0..brute.num_cliques() {
+            assert_eq!(sd.cached.clique_vertices(i), brute.clique(i), "{ctx}: vertices of {i}");
+            assert_eq!(sorted_row(&sd.cached, i), sorted_row(&brute, i), "{ctx}: row {i}");
+        }
+        assert_touched_is_exact(&old, &sd, &ctx);
+        assert_remap_keeps_vertices(&old, &sd, &ctx);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn splice_matches_brute_force_in_every_space(
+        n in 5u32..13,
+        p_percent in 35u64..80,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = 0x5EED ^ seed;
+        let mut g = small_graph(n, p_percent, &mut rng);
+        for round in 0..3 {
+            let (mut ins, rm) = random_batch(&g, &mut rng);
+            ins.retain(|&(u, v)| u.max(v) < 16); // brute force covers 16 vertices
+            if round == 1 {
+                ins.push(rm[0]); // removed and re-inserted in one batch
+            }
+            let ctx = format!("n {n} p {p_percent} seed {seed} round {round}");
+            splice_matches_brute_force(&g, &ins, &rm, &ctx);
+            g = apply_edge_batch(&g, &ins, &rm).0;
+        }
+    }
+}
+
+#[test]
+fn splice_matches_brute_force_around_two_k5s() {
+    // Two K5s sharing the edge (3, 4): removing, re-inserting and closing
+    // edges there destroys and creates cliques of every size up to 5.
+    let mut edges = Vec::new();
+    for block in [[0u32, 1, 2, 3, 4], [3, 4, 5, 6, 7]] {
+        for (i, &u) in block.iter().enumerate() {
+            edges.extend(block[i + 1..].iter().map(|&v| (u, v)));
+        }
+    }
+    let g = graph_from_edges(edges);
+    let batches: [(Batch, Batch); 4] = [
+        (vec![], vec![(3, 4)]),
+        (vec![(3, 4)], vec![(3, 4), (0, 1)]),
+        (vec![(2, 5), (2, 6), (2, 7), (9, 9)], vec![]),
+        (vec![(0, 8), (1, 8)], vec![(5, 6), (6, 7)]),
+    ];
+    for (k, (ins, rm)) in batches.iter().enumerate() {
+        splice_matches_brute_force(&g, ins, rm, &format!("batch {k}"));
     }
 }
 
@@ -195,18 +270,16 @@ proptest! {
 fn incremental_stays_exact(sel: SpaceSel, n: u32, seed: u64, batch_seed: u64) {
     let base = hdsd_datasets::holme_kim(n, 4, 0.55, seed ^ 0x55);
     let mut g = hdsd_datasets::thin_edges(&base, 0.8, seed);
-    let mut tl = sel.needs_triangles().then(|| TriangleList::build(&g));
-    let mut cached = sel.build_cached(&g, tl.as_ref());
+    let mut cached = sel.build_cached(&g, Some(&TriangleList::build(&g)));
     let mut rng = 0xFEED ^ batch_seed;
     for round in 0..4 {
         let (ins, rm) = random_batch(&g, &mut rng);
-        let step = GraphStep::new(&g, tl.as_ref(), &ins, &rm);
+        let step = GraphStep::new(&g, &ins, &rm);
         if step.is_noop() {
             continue; // the engine keeps the old state
         }
-        let up = update_space(sel, &cached, None, &step, &CancelToken::none()).unwrap();
-        let GraphStep { new_graph, triangles, .. } = step;
-        (g, tl, cached) = (new_graph, triangles.map(|td| td.list), up.cached);
+        let up = update_space(&cached, None, &step, &CancelToken::none()).unwrap();
+        (g, cached) = (step.new_graph, up.cached);
         let exact = peel(&sel.build_cached(&g, Some(&TriangleList::build(&g)))).kappa;
         assert_eq!(
             up.kappa,

@@ -67,12 +67,10 @@ fn random_batch(g: &CsrGraph, rng: &mut u64) -> (Batch, Batch) {
     (ins, rm)
 }
 
-/// One space as the serving engine keeps it between batches: graph,
-/// triangle list, rows, κ and a resident forest.
+/// One space as the serving engine keeps it between batches: graph, rows,
+/// κ and a resident forest.
 struct Resident {
-    sel: SpaceSel,
     graph: CsrGraph,
-    triangles: Option<TriangleList>,
     cached: CachedSpace,
     kappa: Vec<u32>,
     forest: Hierarchy,
@@ -84,7 +82,7 @@ impl Resident {
         let cached = sel.build_cached(&graph, triangles.as_ref());
         let kappa = peel(&cached).kappa;
         let forest = build_hierarchy(&cached, &kappa);
-        Resident { sel, graph, triangles, cached, kappa, forest }
+        Resident { graph, cached, kappa, forest }
     }
 
     /// One batch through the engine's update step, forest included.
@@ -95,17 +93,14 @@ impl Resident {
         ins: &[(VertexId, VertexId)],
         rm: &[(VertexId, VertexId)],
     ) -> Option<RepairStats> {
-        let step = GraphStep::new(&self.graph, self.triangles.as_ref(), ins, rm);
+        let step = GraphStep::new(&self.graph, ins, rm);
         if step.is_noop() {
             return None;
         }
         let up =
-            update_space(self.sel, &self.cached, Some(&self.forest), &step, &CancelToken::none())
-                .unwrap();
-        let GraphStep { new_graph, triangles, .. } = step;
+            update_space(&self.cached, Some(&self.forest), &step, &CancelToken::none()).unwrap();
         let (forest, stats) = up.forest.expect("a resident forest is repaired");
-        self.graph = new_graph;
-        self.triangles = triangles.map(|td| td.list);
+        self.graph = step.new_graph;
         (self.cached, self.kappa, self.forest) = (up.cached, up.kappa, forest);
         Some(stats)
     }
@@ -320,7 +315,7 @@ fn repair_preservation_is_pinned() {
                 (s.preserved_nodes, s.rebuilt_nodes, s.full_rebuild),
                 want,
                 "{} batch {batch}: (preserved_nodes, rebuilt_nodes, full_rebuild)",
-                res.sel.name()
+                res.cached.name()
             );
         }
     }

@@ -12,12 +12,12 @@
 //!   [`Hierarchy`] (Sarıyüce–Pınar's "keep the nucleus forest as the
 //!   index" idea);
 //! * **edge batches** run the update step of [`hdsd_nucleus::update`]:
-//!   one [`GraphStep`] splices the CSR and the shared triangle substrate,
-//!   then [`update_space`] splices each space's rows, refreshes κ by
-//!   peeling them (the paper's Theorem 4: one pass in κ order) and repairs
-//!   a resident forest from the splice's touched set — nothing is rebuilt
-//!   or re-enumerated globally, and a batch that changes nothing
-//!   re-publishes the current epoch's contents;
+//!   one [`GraphStep`] splices the CSR, then [`update_space`] splices each
+//!   space's r-clique list and rows (one splice for every (r, s)),
+//!   refreshes κ by peeling them (the paper's Theorem 4: one pass in κ
+//!   order) and repairs a resident forest from the splice's touched set —
+//!   nothing is rebuilt or re-enumerated globally, and a batch that
+//!   changes nothing re-publishes the current epoch's contents;
 //! * **snapshots** serialize graph + κ + hierarchies for fast restart.
 //!
 //! ## Epoch immutability
@@ -51,10 +51,10 @@ use hdsd_telemetry::{labeled, span, Registry};
 /// in `hdsd-nucleus`).
 pub use hdsd_nucleus::SpaceSel;
 
-/// The triangle list shared by the truss and (3,4) spaces, built once when
-/// any of `spaces` needs it.
-fn shared_triangles(graph: &CsrGraph, spaces: &[SpaceSel]) -> Option<Arc<TriangleList>> {
-    spaces.iter().any(|s| s.needs_triangles()).then(|| Arc::new(TriangleList::build(graph)))
+/// The triangle list the cold builds of the truss and (3,4) spaces share,
+/// built once when any of `spaces` needs it and dropped after them.
+fn shared_triangles(graph: &CsrGraph, spaces: &[SpaceSel]) -> Option<TriangleList> {
+    spaces.iter().any(|s| s.needs_triangles()).then(|| TriangleList::build(graph))
 }
 
 /// Engine construction options.
@@ -335,8 +335,7 @@ pub struct UpdateReport {
     pub inserted: u32,
     /// Edges actually removed.
     pub removed: u32,
-    /// Wall time of the shared substrate delta (CSR splice + triangle
-    /// maintenance) before any space refresh.
+    /// Wall time of the shared CSR splice before any space refresh.
     pub graph_delta_us: u64,
     /// Per-space refresh telemetry.
     pub spaces: Vec<SpaceRefresh>,
@@ -344,7 +343,7 @@ pub struct UpdateReport {
     /// 0 when no forest was resident. Before PR 4 this cost was paid as a
     /// full rebuild by the next `region`/`nuclei` query instead.
     pub hierarchy_repair_us: u64,
-    /// Wall time of the whole update (substrate delta + all refreshes).
+    /// Wall time of the whole update (CSR splice + all refreshes).
     pub wall_us: u64,
 }
 
@@ -397,9 +396,9 @@ pub struct EngineStats {
     pub spaces: Vec<SpaceStats>,
 }
 
-/// One immutable epoch of resident serving state: the graph, the shared
-/// triangle substrate, and every configured space's containers, κ vector
-/// and (lazily filled) hierarchy index.
+/// One immutable epoch of resident serving state: the graph and every
+/// configured space's containers, κ vector and (lazily filled) hierarchy
+/// index.
 ///
 /// Views are published through an [`crate::epoch::EpochCell`] and shared
 /// by `Arc` across reader threads; **nothing in a view is ever mutated
@@ -408,10 +407,6 @@ pub struct EngineStats {
 /// number of threads concurrently.
 pub struct EngineView {
     graph: Arc<CsrGraph>,
-    /// Maintained triangle substrate, resident whenever a triangle-based
-    /// space is configured. Shared by the truss and (3,4) states and
-    /// spliced (not rebuilt) on every update.
-    triangles: Option<Arc<TriangleList>>,
     spaces: Vec<SpaceView>,
     updates_applied: u64,
 }
@@ -460,8 +455,9 @@ impl EngineView {
     }
 
     /// Resolves an r-clique by its vertex set (vertex for core, endpoint
-    /// pair for truss, triangle for (3,4)). Truss and (3,4) lookups go
-    /// straight to the resident substrate — no identity index to build or
+    /// pair for truss, triangle for (3,4)), in any order: a binary search
+    /// in the space's lexicographic r-clique list
+    /// ([`CachedSpace::clique_id`]) — no identity index to build or
     /// invalidate.
     pub fn resolve(&self, sel: SpaceSel, vertices: &[VertexId]) -> Result<usize, String> {
         let expect_r = sel.rs().0 as usize;
@@ -472,33 +468,12 @@ impl EngineView {
                 vertices.len()
             ));
         }
-        match sel {
-            SpaceSel::Core => {
-                let v = vertices[0] as usize;
-                if v < self.state(sel)?.cached.num_cliques() {
-                    Ok(v)
-                } else {
-                    Err(format!("vertex {v} out of range"))
-                }
-            }
-            SpaceSel::Truss => {
-                self.state(sel)?;
-                self.graph
-                    .edge_id(vertices[0], vertices[1])
-                    .map(|e| e as usize)
-                    .ok_or_else(|| format!("edge ({}, {}) not in graph", vertices[0], vertices[1]))
-            }
-            SpaceSel::Nucleus34 => {
-                self.state(sel)?;
-                let mut sorted = vertices.to_vec();
-                sorted.sort_unstable();
-                let tl =
-                    self.triangles.as_ref().expect("triangle substrate resident with (3,4) space");
-                tl.triangle_id(&self.graph, sorted[0], sorted[1], sorted[2])
-                    .map(|t| t as usize)
-                    .ok_or_else(|| format!("triangle {sorted:?} not in graph"))
-            }
-        }
+        let mut sorted = vertices.to_vec();
+        sorted.sort_unstable();
+        self.state(sel)?
+            .cached
+            .clique_id(&sorted)
+            .ok_or_else(|| format!("{expect_r}-clique {sorted:?} not in graph"))
     }
 
     /// Budgeted local estimate with the Theorem-1 bound interval.
@@ -729,15 +704,16 @@ pub struct Engine {
 
 impl Engine {
     /// Builds the engine with a full decomposition of every configured
-    /// space. The triangle substrate is enumerated once and shared.
+    /// space. The triangle list is enumerated once, shared by the cold
+    /// builds that need it, and dropped.
     pub fn new(graph: CsrGraph, cfg: &EngineConfig) -> Engine {
         let triangles = shared_triangles(&graph, &cfg.spaces);
         let spaces = cfg
             .spaces
             .iter()
-            .map(|&sel| SpaceView::fresh(sel, &graph, triangles.as_deref()))
+            .map(|&sel| SpaceView::fresh(sel, &graph, triangles.as_ref()))
             .collect();
-        let view = EngineView { graph: Arc::new(graph), triangles, spaces, updates_applied: 0 };
+        let view = EngineView { graph: Arc::new(graph), spaces, updates_applied: 0 };
         view.publish_gauges();
         Engine { view: Arc::new(view) }
     }
@@ -815,8 +791,8 @@ impl Engine {
     }
 
     /// Applies an edge batch by building the **next epoch off to the
-    /// side**: one [`GraphStep`] splices the CSR and the triangle substrate
-    /// into fresh values, and every resident space goes through the same
+    /// side**: one [`GraphStep`] splices the CSR into a fresh value, and
+    /// every resident space goes through the same
     /// [`update_space`] the property suites drive — its rows are spliced,
     /// κ is refreshed by peeling them, and a resident hierarchy is
     /// **repaired** (seeded with the splice's touched set) instead of
@@ -905,13 +881,12 @@ impl Engine {
         let old = Arc::clone(&self.view);
         let step = {
             span!("update.graph_delta");
-            GraphStep::new(&old.graph, old.triangles.as_deref(), insert, remove)
+            GraphStep::new(&old.graph, insert, remove)
         };
         let graph_delta_us = start.elapsed().as_micros() as u64;
         if step.is_noop() {
             let next = EngineView {
                 graph: Arc::clone(&old.graph),
-                triangles: old.triangles.clone(),
                 spaces: old.spaces.iter().map(SpaceView::share).collect(),
                 updates_applied: old.updates_applied + batches,
             };
@@ -926,7 +901,7 @@ impl Engine {
             // The next epoch inherits a repaired forest iff this epoch has
             // one resident at this instant (see the race note above).
             let forest = st.hierarchy.get().map(|hi| hi.forest.as_ref());
-            let up = update_space(st.sel, &st.cached, forest, &step, cancel)?;
+            let up = update_space(&st.cached, forest, &step, cancel)?;
             reports.push(SpaceRefresh::record(st.sel, &up));
             let hierarchy = OnceLock::new();
             if let Some((forest, _)) = up.forest {
@@ -944,10 +919,9 @@ impl Engine {
         }
         let hierarchy_repair_us =
             reports.iter().filter_map(|r| r.hierarchy_repair.map(|h| h.repair_us)).sum();
-        let GraphStep { new_graph, delta, triangles, .. } = step;
+        let GraphStep { new_graph, delta, .. } = step;
         let next = EngineView {
             graph: Arc::new(new_graph),
-            triangles: triangles.map(|td| Arc::new(td.list)).or_else(|| old.triangles.clone()),
             spaces: new_spaces,
             updates_applied: old.updates_applied + batches,
         };
@@ -996,7 +970,7 @@ impl Engine {
         let mut spaces = Vec::with_capacity(snap.spaces.len());
         for (sp, sel) in snap.spaces.into_iter().zip(sels) {
             let t_build = Instant::now();
-            let cached = sel.build_cached(&snap.graph, triangles.as_deref());
+            let cached = sel.build_cached(&snap.graph, triangles.as_ref());
             let build_us = t_build.elapsed().as_micros() as u64;
             if cached.num_cliques() != sp.kappa.len() {
                 return Err(format!(
@@ -1029,7 +1003,7 @@ impl Engine {
                 peel_us: 0,
             });
         }
-        let view = EngineView { graph: snap.graph, triangles, spaces, updates_applied: 0 };
+        let view = EngineView { graph: snap.graph, spaces, updates_applied: 0 };
         view.publish_gauges();
         Ok(Engine { view: Arc::new(view) })
     }
@@ -1086,6 +1060,30 @@ mod tests {
         assert_eq!(id, 17);
         assert!(engine.kappa_of(SpaceSel::Truss, 1 << 20).is_err());
         assert!(engine.resolve(SpaceSel::Truss, &[0]).is_err());
+    }
+
+    #[test]
+    fn resolve_round_trips_in_every_space_after_an_update() {
+        let g = hdsd_datasets::holme_kim(120, 4, 0.5, 3);
+        let mut engine = Engine::new(g.clone(), &full_config());
+        let removed = [g.edges()[5], g.edges()[40], g.edges()[90]];
+        engine.update(&[(0, 7), (1, 7), (0, 1), (3, 121)], &removed);
+        for sel in [SpaceSel::Core, SpaceSel::Truss, SpaceSel::Nucleus34] {
+            let n = engine.num_cliques(sel).unwrap();
+            assert!(n > 0, "{}", sel.name());
+            for id in 0..n {
+                let mut vs = engine.clique_vertices(sel, id).unwrap();
+                vs.reverse(); // any vertex order resolves
+                assert_eq!(engine.resolve(sel, &vs), Ok(id), "{} clique {id}", sel.name());
+            }
+        }
+        // Vertex tuples that are not cliques of the space.
+        let (u, v) = removed[0];
+        assert!(engine.resolve(SpaceSel::Core, &[122]).is_err());
+        assert!(engine.resolve(SpaceSel::Truss, &[u, v]).is_err());
+        assert!(engine.resolve(SpaceSel::Truss, &[u, u]).is_err());
+        assert!(engine.resolve(SpaceSel::Nucleus34, &[u, v, 200]).is_err());
+        assert!(engine.resolve(SpaceSel::Nucleus34, &[0, 1]).is_err());
     }
 
     #[test]
@@ -1316,7 +1314,6 @@ mod tests {
         let new = engine.view();
         assert_eq!(new.stats().updates_applied, old.stats().updates_applied + 1);
         assert!(Arc::ptr_eq(&old.graph, &new.graph));
-        assert!(Arc::ptr_eq(old.triangles.as_ref().unwrap(), new.triangles.as_ref().unwrap()));
         for (a, b) in old.spaces.iter().zip(&new.spaces) {
             assert!(Arc::ptr_eq(&a.cached, &b.cached), "{}", a.sel.name());
             assert!(Arc::ptr_eq(&a.kappa, &b.kappa), "{}", a.sel.name());

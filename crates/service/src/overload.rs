@@ -25,7 +25,7 @@
 //! | tier | meaning |
 //! |------|---------|
 //! | 0    | normal — every op answers exactly |
-//! | 1    | cold-hierarchy `region`/`node` answer a budgeted Theorem-1 estimate (`degraded:true`) instead of materializing |
+//! | 1    | cold-hierarchy `region` answers a budgeted Theorem-1 estimate (`degraded:true`) instead of materializing; cold-hierarchy `node` is shed (`overloaded`) |
 //! | 2    | `kappa` also answers the estimate interval |
 //!
 //! Tier transitions use asymmetric thresholds (enter high, exit low) so
@@ -297,7 +297,8 @@ impl OverloadState {
         self.tier.load(Ordering::Relaxed)
     }
 
-    /// Whether cold-hierarchy `region`/`node` should degrade to estimates.
+    /// Whether cold-hierarchy `region` should degrade to estimates (and
+    /// cold-hierarchy `node` be shed).
     pub fn degrade_region(&self) -> bool {
         self.tier() >= 1
     }

@@ -542,7 +542,7 @@ impl Server {
 
     /// Resolves the addressed clique: `"id"` directly, or `"vertices"`
     /// (vertex / edge endpoints / triangle) through the pinned view's
-    /// resident substrate.
+    /// lexicographic r-clique list ([`EngineView::resolve`]).
     fn clique_of(view: &EngineView, req: &Json, sel: SpaceSel) -> Result<usize, String> {
         if let Some(id) = optional(req, "id", Json::as_usize, INTEGER)? {
             return Ok(id);
@@ -758,13 +758,9 @@ impl Server {
             u32::try_from(node).map_err(|_| format!("hierarchy node {node} out of range"))?;
         let max_vertices = optional(req, "max_vertices", Json::as_usize, INTEGER)?.unwrap_or(64);
         if self.shared.overload.degrade_region() && !view.hierarchy_resident(sel)? {
-            // In the vertex (core) space the node is its own 1-clique, so
-            // it has a budgeted estimate. Higher-r spaces have no cheap
-            // vertex→clique mapping without the hierarchy: shed instead,
-            // with the standard back-off hint.
-            if sel == SpaceSel::Core {
-                return self.degraded_estimate(view, req, sel, node as usize);
-            }
+            // A node id is a forest index, not a clique: without the
+            // hierarchy there is nothing to estimate, so shed with the
+            // standard back-off hint, in every space.
             self.shared.overload.on_shed();
             return Err(OVERLOADED.to_string());
         }
@@ -1516,12 +1512,14 @@ mod tests {
         // kappa stays exact at tier 1.
         let v = ok(&mut s, r#"{"op":"kappa","space":"core","id":0}"#);
         assert_eq!(v.get("kappa").unwrap().as_u64(), Some(3));
-        // node in a higher-r space has no cheap estimate: it sheds with
-        // the standard structured hint.
-        let h = s.handle_line(r#"{"op":"node","space":"truss","node":0}"#);
-        let v = Json::parse(&h.response).unwrap();
-        assert_eq!(v.get("error").and_then(Json::as_str), Some("overloaded"));
-        assert!(v.get("retry_after_ms").unwrap().as_u64().unwrap() > 0);
+        // A cold-hierarchy node has no estimate in any space (its id is a
+        // forest index, not a clique): it sheds with the standard hint.
+        for space in ["core", "truss", "34"] {
+            let line = format!(r#"{{"op":"node","space":"{space}","node":0}}"#);
+            let v = Json::parse(&s.handle_line(&line).response).unwrap();
+            assert_eq!(v.get("error").and_then(Json::as_str), Some("overloaded"), "{space}");
+            assert!(v.get("retry_after_ms").unwrap().as_u64().unwrap() > 0);
+        }
         // Tier 2 degrades kappa too: the interval replaces the exact value.
         overload.set_mode(BrownoutMode::Forced(2));
         overload.recompute_tier();

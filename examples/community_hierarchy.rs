@@ -80,6 +80,8 @@ fn report<S: CliqueSpace>(space: &S, g: &hdsd::graph::CsrGraph) {
             }
         }
         for &c in &forest.nodes[id as usize].children {
+            // Nuclei nest: a child is a denser k-nucleus inside its parent.
+            assert!(forest.nodes[c as usize].k > forest.nodes[id as usize].k);
             frontier.push((c, depth + 1));
         }
     }
@@ -91,6 +93,7 @@ fn report<S: CliqueSpace>(space: &S, g: &hdsd::graph::CsrGraph) {
         .map(|l| forest.node_density(l, space, g))
         .max_by(|a, b| a.density.total_cmp(&b.density));
     if let Some(d) = best_leaf {
+        assert!(d.density > hdsd::graph::density(g), "a leaf nucleus is denser than the graph");
         println!(
             "densest leaf nucleus: k={} with {} vertices at density {:.3}",
             d.k, d.vertices, d.density

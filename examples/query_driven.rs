@@ -32,6 +32,8 @@ fn main() {
     for t in [0usize, 1, 2, 3, 4, 6, 8] {
         let ests = estimate_core_numbers(&g, &queries, t);
         let est_vals: Vec<u32> = ests.iter().map(|e| e.estimate).collect();
+        // Theorem 1: every estimate bounds the exact core number from above.
+        assert!(est_vals.iter().zip(&exact_q).all(|(e, k)| e >= k));
         let stats = relative_error_stats(&est_vals, &exact_q);
         let avg_explored =
             ests.iter().map(|e| e.explored).sum::<usize>() as f64 / ests.len() as f64;
@@ -57,6 +59,7 @@ fn main() {
     for t in [1usize, 2, 3, 4] {
         let ests = estimate_truss_numbers(&g, &equeries, t);
         let est_vals: Vec<u32> = ests.iter().map(|e| e.estimate).collect();
+        assert!(est_vals.iter().zip(&exact_eq).all(|(e, k)| e >= k));
         let stats = relative_error_stats(&est_vals, &exact_eq);
         println!(
             "{:>5} {:>12.3} {:>12.4} {:>14}",

@@ -50,8 +50,7 @@ fn theorem1_violation<S: CliqueSpace>(sp: &S) -> Option<String> {
 /// κ equals a cold peel and the repaired forest a cold `build_hierarchy`.
 fn update_step_matches_cold(sel: SpaceSel, mut g: hdsd::graph::CsrGraph, extra: &[(u32, u32)]) {
     use hdsd::graph::TriangleList;
-    let mut tl = sel.needs_triangles().then(|| TriangleList::build(&g));
-    let mut cached = sel.build_cached(&g, tl.as_ref());
+    let mut cached = sel.build_cached(&g, Some(&TriangleList::build(&g)));
     let mut forest = build_hierarchy(&cached, &peel(&cached).kappa);
     for insert in [true, false] {
         let (ins, rm) = if insert {
@@ -59,14 +58,13 @@ fn update_step_matches_cold(sel: SpaceSel, mut g: hdsd::graph::CsrGraph, extra: 
         } else {
             (Vec::new(), g.edges().iter().copied().step_by(2).collect())
         };
-        let step = GraphStep::new(&g, tl.as_ref(), &ins, &rm);
+        let step = GraphStep::new(&g, &ins, &rm);
         if step.is_noop() {
             continue; // the engine keeps the old state
         }
-        let up = update_space(sel, &cached, Some(&forest), &step, &CancelToken::none())
+        let up = update_space(&cached, Some(&forest), &step, &CancelToken::none())
             .expect("an unarmed token never cancels");
-        let GraphStep { new_graph, triangles, .. } = step;
-        (g, tl, cached) = (new_graph, triangles.map(|td| td.list), up.cached);
+        (g, cached) = (step.new_graph, up.cached);
         let cold = sel.build_cached(&g, Some(&TriangleList::build(&g)));
         assert_eq!(up.kappa, peel(&cold).kappa, "{} κ, insert batch: {insert}", sel.name());
         forest = up.forest.expect("a resident forest is repaired").0;
