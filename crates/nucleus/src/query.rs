@@ -10,37 +10,65 @@
 //! `τ_t(q)` bit-for-bit — Theorem 1 then gives the guarantee
 //! `κ(q) ≤ estimate ≤ d_s(q)`, with the upper bound shrinking per
 //! iteration.
+//!
+//! A query costs its ball and hashes nothing:
+//!
+//! * **Per-thread arrays indexed by clique id.** Each thread keeps one
+//!   scratch: a `u32` slot per r-clique id of the largest space it has
+//!   estimated (the clique's index in the ball, or empty), and the ball's
+//!   members, BFS distances and τ values as vectors in discovery order. A
+//!   query first clears the slots its predecessor on the thread set, so
+//!   a predecessor that unwound leaves nothing stale.
+//! * **Rows read in place.** A space with resident rows
+//!   ([`CliqueSpace::as_flat`], every engine space) is read as packed
+//!   `&[u32]` rows; any other space's container walk is packed into one
+//!   reused row buffer, so one kernel serves both.
+//! * **Rounds stop when stationary.** Round `j` recomputes the members
+//!   within `t − j` of `q` (a prefix of the discovery order). Once a round
+//!   changes no τ, every later round reads the same inputs and returns
+//!   the same values, so the loop stops with `τ_t(q)` already in hand.
+//!   A deadline is checked once per round; on a trip the current
+//!   `τ_j(q) ≥ κ(q)` is returned, marked truncated.
+//! * **Lower bound by peeling the ball.** The ball's inside containers
+//!   (every member in the ball) become a [`FlatContainers`] in ball
+//!   indices, and the exact bucket queue ([`PeelEngine`]) gives κ of `q`
+//!   in that sub-hypergraph.
+
+use std::cell::RefCell;
+use std::time::Instant;
 
 use hdsd_hindex::HBuffer;
-use std::collections::HashMap;
 
-use crate::space::CliqueSpace;
+use crate::cancel::CancelToken;
+use crate::peel::{PeelEngine, PEEL_CANCEL_CHUNK};
+use crate::space::{others_per_container, CliqueSpace, FlatContainers};
 
 /// Options for a budgeted local estimation.
 #[derive(Clone, Copy, Debug)]
 pub struct QueryOptions {
     /// Iterations of the local update (`t`). More iterations tighten the
-    /// upper bound toward κ (Theorem 1).
+    /// upper bound toward κ (Theorem 1). Any value is accepted: rounds stop
+    /// once τ is stationary in the explored ball.
     pub iterations: usize,
     /// Maximum r-cliques to pull into the explored ball; `None` explores
     /// the full `t`-hop neighborhood. A truncated ball keeps the estimate
     /// a valid upper bound (outside reads fall back to `d_s ≥ κ`) but
     /// breaks bit-equality with the global Snd trajectory.
     pub budget: Option<usize>,
-    /// Also compute a κ *lower* bound: the fixpoint of the local update on
-    /// the sub-hypergraph induced by the explored ball (containers whose
+    /// Also compute a κ *lower* bound: the peel value at `q` of the
+    /// sub-hypergraph induced by the explored ball (containers whose
     /// members all lie inside). That restricted universe satisfies its own
     /// support thresholds, so its peel value at `q` certifies
     /// `κ(q) ≥ lower` — together with the estimate this brackets
     /// `lower ≤ κ(q) ≤ estimate`.
     pub lower_bound: bool,
-    /// Wall-clock deadline. Enforced at the same checkpoints as `budget`:
-    /// exploration stops (marking the result `truncated`) once the
-    /// deadline passes, and the lower-bound certificate is skipped (left
-    /// at 0, which is always valid). The estimate stays a correct upper
-    /// bound exactly as under a budget cut — unexplored reads fall back
-    /// to `d_s ≥ κ`.
-    pub deadline: Option<std::time::Instant>,
+    /// Wall-clock deadline, checked at the same points as `budget` and once
+    /// per round. Exploration stops once the deadline passes, the rounds
+    /// stop at the current `τ_j(q)`, and the lower-bound certificate is
+    /// skipped (left at 0, which is always valid); the result is marked
+    /// `truncated`. The estimate stays a correct upper bound exactly as
+    /// under a budget cut — unexplored reads fall back to `d_s ≥ κ`.
+    pub deadline: Option<Instant>,
 }
 
 impl Default for QueryOptions {
@@ -61,9 +89,10 @@ pub struct QueryEstimate {
     pub degree: u32,
     /// r-cliques touched (size of the explored neighborhood).
     pub explored: usize,
-    /// Iterations performed (`t`).
+    /// Iterations requested (`t`); rounds past a stationary τ are skipped,
+    /// which leaves the estimate unchanged.
     pub iterations: usize,
-    /// Whether the exploration budget cut the ball short.
+    /// Whether the exploration budget or the deadline cut the work short.
     pub truncated: bool,
 }
 
@@ -82,214 +111,194 @@ pub fn local_estimate_opts<S: CliqueSpace>(
     opts: &QueryOptions,
 ) -> QueryEstimate {
     assert!(q < space.num_cliques(), "query clique out of range");
-    let t = opts.iterations;
-    let cap = opts.budget.unwrap_or(usize::MAX).max(1);
-    // `Instant::now` is only consulted when a deadline was set, so the
-    // unconstrained path pays nothing.
-    let past_deadline = || opts.deadline.is_some_and(|d| std::time::Instant::now() >= d);
-    // BFS distances up to t in the r-clique adjacency, stopping at the
-    // exploration budget or the deadline.
-    let mut dist: HashMap<usize, u32> = HashMap::new();
-    dist.insert(q, 0);
-    let mut frontier = vec![q];
-    let mut truncated = false;
-    'bfs: for d in 1..=t as u32 {
-        let mut next = Vec::new();
-        for &i in &frontier {
-            if dist.len() >= cap || past_deadline() {
-                truncated = true;
-                break 'bfs;
-            }
-            let r = space.try_for_each_container(i, |others| {
-                for &o in others {
-                    if !dist.contains_key(&o) {
-                        if dist.len() >= cap {
-                            return std::ops::ControlFlow::Break(());
+    BALL.with(|ball| ball.borrow_mut().estimate(space, q, opts))
+}
+
+/// Slot of an r-clique outside the ball.
+const OUTSIDE: u32 = u32::MAX;
+
+thread_local! {
+    static BALL: RefCell<Ball> = RefCell::new(Ball::default());
+}
+
+/// One thread's ball state, kept across its queries.
+#[derive(Default)]
+struct Ball {
+    /// Ball index per r-clique id, [`OUTSIDE`] when not in the ball.
+    /// Between queries only the last ball's members are set.
+    slot: Vec<u32>,
+    /// Members (r-clique ids) in discovery order: `q` first, distances
+    /// non-decreasing.
+    members: Vec<u32>,
+    /// BFS distance of each member from `q`.
+    dist: Vec<u32>,
+    /// τ of each member.
+    tau: Vec<u32>,
+    /// One round's new τ for the members it recomputes.
+    next: Vec<u32>,
+    /// A row packed from a container walk.
+    row: Vec<u32>,
+    hbuf: HBuffer,
+    peel: PeelEngine,
+}
+
+impl Ball {
+    fn estimate<S: CliqueSpace>(
+        &mut self,
+        space: &S,
+        q: usize,
+        opts: &QueryOptions,
+    ) -> QueryEstimate {
+        let Ball { slot, members, dist, tau, next, row, hbuf, peel } = self;
+        let t = opts.iterations;
+        let cap = opts.budget.unwrap_or(usize::MAX).max(1);
+        let group = others_per_container(space);
+        // `Instant::now` is only consulted when a deadline was set, so the
+        // unconstrained path pays nothing.
+        let past_deadline = || opts.deadline.is_some_and(|d| Instant::now() >= d);
+        // The previous query's slots, also when it unwound.
+        for &m in members.iter() {
+            slot[m as usize] = OUTSIDE;
+        }
+        if slot.len() < space.num_cliques() {
+            slot.resize(space.num_cliques(), OUTSIDE);
+        }
+        members.clear();
+        dist.clear();
+
+        // BFS distances up to t in the r-clique adjacency, stopping at the
+        // exploration budget or the deadline. Level d - 1 is the range
+        // `level` of the discovery order.
+        slot[q] = 0;
+        members.push(q as u32);
+        dist.push(0);
+        let mut truncated = false;
+        let mut level = 0..1;
+        'bfs: for d in 1..=t {
+            for k in level.clone() {
+                if members.len() >= cap || past_deadline() {
+                    truncated = true;
+                    break 'bfs;
+                }
+                for &o in row_of(space, members[k] as usize, row) {
+                    if slot[o as usize] == OUTSIDE {
+                        if members.len() >= cap {
+                            truncated = true;
+                            break 'bfs;
                         }
-                        dist.insert(o, d);
-                        next.push(o);
+                        slot[o as usize] = members.len() as u32;
+                        members.push(o);
+                        dist.push(d as u32);
                     }
                 }
-                std::ops::ControlFlow::Continue(())
-            });
-            if r.is_break() {
+            }
+            level = level.end..members.len();
+            if level.is_empty() {
+                break;
+            }
+        }
+
+        // τ for the ball; everything outside keeps τ0 = d_s, which is only
+        // ever *read*, preserving equality with the global Snd trajectory.
+        tau.clear();
+        tau.extend(members.iter().map(|&m| space.degree(m as usize)));
+        for j in 1..=t {
+            if past_deadline() {
                 truncated = true;
-                break 'bfs;
+                break;
             }
-        }
-        frontier = next;
-        if frontier.is_empty() {
-            break;
-        }
-    }
-
-    // τ values for the explored ball; everything outside keeps τ0 = d_s,
-    // which is only ever *read* (never recomputed), preserving equality
-    // with the global Snd trajectory.
-    let mut tau: HashMap<usize, u32> = HashMap::with_capacity(dist.len());
-    for &i in dist.keys() {
-        tau.insert(i, space.degree(i));
-    }
-
-    let mut buf = HBuffer::new();
-    let mut curr: Vec<(usize, u32)> = Vec::new();
-    for j in 1..=t as u32 {
-        // Recompute τ_j for r-cliques within distance t - j: their next
-        // value needs neighbors' τ_{j-1}, available within distance
-        // t - j + 1.
-        let radius = (t as u32) - j;
-        curr.clear();
-        for (&i, &d) in &dist {
-            if d <= radius {
-                let old = tau[&i];
-                // Reads may touch cliques outside the explored ball only
-                // when d == radius boundary neighbors were explored at
-                // d + 1 <= t; cliques never explored read their d_s.
-                let read =
-                    |o: usize| -> u32 { tau.get(&o).copied().unwrap_or_else(|| space.degree(o)) };
-                let new = update_one_map(space, i, old, &read, &mut buf);
-                curr.push((i, new));
+            // τ_j for the members within t - j of q: their inputs, the
+            // τ_{j-1} of members within t - j + 1, are all current.
+            let radius = t - j;
+            let inner = dist.partition_point(|&d| d as usize <= radius);
+            next.clear();
+            for k in 0..inner {
+                let new = match tau[k] {
+                    0 => 0,
+                    _ => {
+                        let read = |o: u32| match slot[o as usize] {
+                            OUTSIDE => space.degree(o as usize),
+                            s => tau[s as usize],
+                        };
+                        hbuf.fused_rho_h(row_of(space, members[k] as usize, row), group, read)
+                    }
+                };
+                next.push(new);
             }
-        }
-        for &(i, v) in &curr {
-            tau.insert(i, v);
-        }
-    }
-
-    // The certificate is strictly optional work; past the deadline it is
-    // skipped (0 is always a valid lower bound) and the cut is reported.
-    // A deadline tripping *inside* the descent also yields 0: intermediate
-    // descent values are not yet certificates, only the fixpoint is.
-    let lower = if opts.lower_bound && !past_deadline() {
-        match ball_lower_bound(space, q, &dist, opts.deadline) {
-            Some(l) => l,
-            None => {
-                truncated = true;
-                0
+            if tau[..inner] == next[..] {
+                break; // stationary: every later round returns these values
             }
+            tau[..inner].copy_from_slice(&next[..]);
         }
-    } else {
+
+        // The certificate is strictly optional work: past the deadline it
+        // is skipped or abandoned (0 is always a valid lower bound) and the
+        // cut is reported.
+        let mut lower = 0;
         if opts.lower_bound {
-            truncated = true;
+            match ball_kappa(space, members, slot, row, group, peel, opts.deadline) {
+                Some(l) => lower = l,
+                None => truncated = true,
+            }
         }
-        0
-    };
-    QueryEstimate {
-        estimate: tau[&q],
-        lower,
-        degree: space.degree(q),
-        explored: dist.len(),
-        iterations: t,
-        truncated,
+        QueryEstimate {
+            estimate: tau[0],
+            lower,
+            degree: space.degree(q),
+            explored: members.len(),
+            iterations: t,
+            truncated,
+        }
     }
 }
 
-/// The peel value of `q` in the sub-hypergraph induced by the explored
-/// ball: only containers whose members all lie inside the ball count.
-/// Because that restricted clique set satisfies its own support
-/// thresholds, `κ(q)` in the full graph is at least this value — a local,
+/// The containers of r-clique `i`, `group` other-member ids each: the
+/// space's resident row in place, or its container walk packed into `buf`.
+fn row_of<'a, S: CliqueSpace>(space: &'a S, i: usize, buf: &'a mut Vec<u32>) -> &'a [u32] {
+    if let Some(flat) = space.as_flat() {
+        return flat.containers(i);
+    }
+    buf.clear();
+    space.for_each_container(i, |others| buf.extend(others.iter().map(|&o| o as u32)));
+    buf
+}
+
+/// The peel value of `q` (ball index 0) in the sub-hypergraph induced by
+/// the ball: only containers whose members all lie inside count. Because
+/// that restricted clique set satisfies its own support thresholds,
+/// `κ(q)` in the full graph is at least this value — a local,
 /// certificate-style lower bound in the spirit of Andersen's local dense
 /// subgraph algorithms.
 ///
-/// Returns `None` when the deadline trips mid-descent: the intermediate
-/// values are not valid lower bounds (the certificate argument only holds
-/// at the fixpoint), so the caller must fall back to 0 and report the cut.
-fn ball_lower_bound<S: CliqueSpace>(
+/// Returns `None` when the deadline passes first: only the exact peel
+/// value is a certificate, so the caller falls back to 0 and reports the
+/// cut.
+fn ball_kappa<S: CliqueSpace>(
     space: &S,
-    q: usize,
-    dist: &HashMap<usize, u32>,
-    deadline: Option<std::time::Instant>,
+    members: &[u32],
+    slot: &[u32],
+    row: &mut Vec<u32>,
+    group: usize,
+    peel: &mut PeelEngine,
+    deadline: Option<Instant>,
 ) -> Option<u32> {
-    // Materialize the induced sub-hypergraph once — dense ids, flat CSR
-    // of the inside-ball containers — so the fixpoint descent below is a
-    // contiguous array scan instead of re-running container walks and
-    // hash lookups every iteration (this is the serving engine's
-    // per-request path).
-    let members: Vec<usize> = dist.keys().copied().collect();
-    let index: HashMap<usize, u32> =
-        members.iter().enumerate().map(|(d, &i)| (i, d as u32)).collect();
-    let past_deadline = || deadline.is_some_and(|d| std::time::Instant::now() >= d);
-    let mut offsets = vec![0usize; members.len() + 1];
-    let mut flat: Vec<u32> = Vec::new();
-    let mut group = 0usize;
-    for (d, &i) in members.iter().enumerate() {
-        if d % 1024 == 0 && past_deadline() {
+    let cancel = CancelToken::with_deadline(deadline);
+    let mut offsets = Vec::with_capacity(members.len() + 1);
+    offsets.push(0);
+    let mut inside = Vec::new();
+    for (k, &m) in members.iter().enumerate() {
+        if k % PEEL_CANCEL_CHUNK == 0 && cancel.is_cancelled() {
             return None;
         }
-        space.for_each_container(i, |others| {
-            if others.iter().all(|o| index.contains_key(o)) {
-                group = others.len();
-                for &o in others {
-                    flat.push(index[&o]);
-                }
-            }
-        });
-        offsets[d + 1] = flat.len();
-    }
-    if group == 0 {
-        return Some(0); // no container lies fully inside the ball
-    }
-
-    // In-place descent to the fixpoint (values only decrease; the h-index
-    // over the restricted container set converges to that sub-hypergraph's
-    // peel value).
-    let mut tau: Vec<u32> =
-        (0..members.len()).map(|d| ((offsets[d + 1] - offsets[d]) / group) as u32).collect();
-    let mut buf = HBuffer::new();
-    loop {
-        // One check per descent iteration: each pass is a bounded array
-        // scan, so the overshoot past the deadline is at most one pass.
-        if past_deadline() {
-            return None;
-        }
-        let mut changed = false;
-        for d in 0..members.len() {
-            let old = tau[d];
-            if old == 0 {
-                continue;
-            }
-            let mut session = buf.session((offsets[d + 1] - offsets[d]) / group);
-            for chunk in flat[offsets[d]..offsets[d + 1]].chunks_exact(group) {
-                let mut m = u32::MAX;
-                for &o in chunk {
-                    m = m.min(tau[o as usize]);
-                }
-                session.push(m);
-            }
-            let new = session.finish().min(old);
-            if new != old {
-                tau[d] = new;
-                changed = true;
+        for c in row_of(space, m as usize, row).chunks_exact(group) {
+            if c.iter().all(|&o| slot[o as usize] != OUTSIDE) {
+                inside.extend(c.iter().map(|&o| slot[o as usize]));
             }
         }
-        if !changed {
-            break;
-        }
+        offsets.push(inside.len() / group);
     }
-    Some(tau[index[&q] as usize])
-}
-
-/// `update_one` against a map-backed τ lookup.
-fn update_one_map<S: CliqueSpace>(
-    space: &S,
-    i: usize,
-    old: u32,
-    read: &impl Fn(usize) -> u32,
-    buf: &mut HBuffer,
-) -> u32 {
-    if old == 0 {
-        return 0;
-    }
-    let deg = space.degree(i) as usize;
-    let mut session = buf.session(deg);
-    space.for_each_container(i, |others| {
-        let mut m = u32::MAX;
-        for &o in others {
-            m = m.min(read(o));
-        }
-        session.push(m);
-    });
-    session.finish()
+    let ball = FlatContainers::from_rows(group, offsets, inside);
+    peel.peel_under(&ball, &cancel).ok().map(|p| p.kappa[0])
 }
 
 /// Estimates core numbers (κ₂) for a set of query vertices.
@@ -445,6 +454,47 @@ mod tests {
         );
         assert_eq!(est.lower, 4);
         assert_eq!(est.estimate, 4);
+    }
+
+    #[test]
+    fn unbounded_iterations_stop_when_stationary() {
+        // Rounds count in usize and stop once τ no longer moves, so any t
+        // past convergence returns κ itself (the ball is the component).
+        let g = hdsd_datasets::holme_kim(120, 4, 0.5, 3);
+        let sp = CoreSpace::new(&g);
+        let exact = peel(&sp).kappa;
+        let opts = QueryOptions {
+            iterations: usize::MAX,
+            budget: None,
+            lower_bound: true,
+            deadline: None,
+        };
+        for q in [0usize, 30, 77, 119] {
+            let est = local_estimate_opts(&sp, q, &opts);
+            assert_eq!(est.estimate, exact[q], "vertex {q}");
+            assert_eq!(est.lower, exact[q], "vertex {q}");
+            assert_eq!(est.iterations, usize::MAX);
+            assert!(!est.truncated);
+        }
+    }
+
+    #[test]
+    fn passed_deadline_bounds_unbounded_iterations() {
+        let g = hdsd_datasets::holme_kim(200, 5, 0.5, 9);
+        let sp = CoreSpace::new(&g);
+        let exact = peel(&sp).kappa;
+        for q in [0usize, 42, 199] {
+            let opts = QueryOptions {
+                iterations: usize::MAX,
+                budget: None,
+                lower_bound: true,
+                deadline: Some(std::time::Instant::now()),
+            };
+            let est = local_estimate_opts(&sp, q, &opts);
+            assert!(est.truncated, "vertex {q}");
+            assert!(est.lower <= exact[q] && exact[q] <= est.estimate, "vertex {q}");
+            assert!(est.estimate <= est.degree);
+        }
     }
 
     #[test]

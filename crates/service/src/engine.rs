@@ -6,7 +6,8 @@
 //!
 //! * **exact lookups** read the resident κ vectors (O(1));
 //! * **budgeted estimates** run [`local_estimate_opts`] on an owned
-//!   [`CachedSpace`], returning the Theorem-1 interval
+//!   [`CachedSpace`], reading its rows in place into ball arrays kept
+//!   per reader thread, and return the Theorem-1 interval
 //!   `lower ≤ κ(q) ≤ estimate` plus exploration telemetry;
 //! * **region queries** resolve against a lazily-built resident
 //!   [`Hierarchy`] (Sarıyüce–Pınar's "keep the nucleus forest as the

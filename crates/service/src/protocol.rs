@@ -1391,6 +1391,27 @@ mod tests {
     }
 
     #[test]
+    fn iterations_above_u32_run_every_round() {
+        // 2^32 once truncated to 0 rounds (the bare degree); rounds count
+        // in usize and stop once τ is stationary, so it answers like any t
+        // past convergence and echoes what was asked.
+        let mut s = demo_server();
+        for id in 0..7 {
+            let ask = |t: &str| {
+                format!(r#"{{"op":"estimate","space":"core","id":{id},"iterations":{t}}}"#)
+            };
+            let big = ok(&mut s, &ask("4294967296"));
+            let small = ok(&mut s, &ask("64"));
+            for field in ["estimate", "lower", "degree", "explored", "truncated"] {
+                assert_eq!(big.get(field), small.get(field), "vertex {id}: {field}");
+            }
+            assert_eq!(big.get("iterations").unwrap().as_u64(), Some(4294967296));
+        }
+        let v = ok(&mut s, r#"{"op":"estimate","space":"core","id":2,"iterations":4294967296}"#);
+        assert_eq!(v.get("interval"), Some(&[3u32, 3].into_iter().collect::<Json>()));
+    }
+
+    #[test]
     fn panicking_request_is_answered_and_serving_continues() {
         let mut s = demo_server();
         // Hidden unless explicitly enabled.

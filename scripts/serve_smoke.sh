@@ -13,6 +13,7 @@ SESSION='{"op":"stats"}
 {"op":"kappa","space":"core","id":0}
 {"op":"kappa","space":"truss","vertices":[0,1]}
 {"op":"estimate","space":"core","id":2,"iterations":3,"budget":50}
+{"op":"estimate","space":"core","id":2,"iterations":4294967296,"deadline_ms":1000}
 {"op":"region","space":"core","id":0}
 {"op":"nuclei","space":"34","k":1}
 {"op":"remove","edges":[[5,6]]}
@@ -56,7 +57,7 @@ PYEOF
 echo "$OUT"
 
 lines=$(printf '%s\n' "$OUT" | wc -l)
-[ "$lines" -eq 12 ] || { echo "FAIL: expected 12 replies, got $lines"; exit 1; }
+[ "$lines" -eq 13 ] || { echo "FAIL: expected 13 replies, got $lines"; exit 1; }
 
 assert_line() { # line_number pattern description
   reply=$(printf '%s\n' "$OUT" | sed -n "${1}p")
@@ -72,18 +73,20 @@ assert_line 1 '"requests_total":' "stats counts requests"
 assert_line 2 '"kappa":3' "κ-core lookup"
 assert_line 3 '"kappa":2' "κ-truss lookup by endpoints"
 assert_line 4 '"interval":' "budgeted estimate returns the bound interval"
-assert_line 5 '"num_vertices":6' "densest region around vertex 0"
-assert_line 6 '"total":2' "two separate (3,4) nuclei (paper Fig. 3)"
-assert_line 7 '"removed":1' "edge removal applied"
-assert_line 8 '"kappa":0' "tail vertex left every core"
-assert_line 9 '"inserted":2' "K5-closing insertions applied"
-assert_line 10 '"kappa":4' "the refresh found the new 4-core"
-assert_line 11 '"requests_total"' "metrics op returns the registry"
-assert_line 11 'request_micros{op=' "metrics op has per-op histograms"
-assert_line 9 '"trace":' "slow threshold 0 attaches the span tree to the update"
-assert_line 12 '"bye"' "clean shutdown"
+assert_line 5 '"interval":[3,3]' "2^32 rounds run to the exact core number"
+assert_line 5 '"iterations":4294967296' "iterations echoed, not truncated"
+assert_line 6 '"num_vertices":6' "densest region around vertex 0"
+assert_line 7 '"total":2' "two separate (3,4) nuclei (paper Fig. 3)"
+assert_line 8 '"removed":1' "edge removal applied"
+assert_line 9 '"kappa":0' "tail vertex left every core"
+assert_line 10 '"inserted":2' "K5-closing insertions applied"
+assert_line 11 '"kappa":4' "the refresh found the new 4-core"
+assert_line 12 '"requests_total"' "metrics op returns the registry"
+assert_line 12 'request_micros{op=' "metrics op has per-op histograms"
+assert_line 10 '"trace":' "slow threshold 0 attaches the span tree to the update"
+assert_line 13 '"bye"' "clean shutdown"
 
-for n in 1 2 3 4 5 6 7 8 9 10 11 12; do
+for n in 1 2 3 4 5 6 7 8 9 10 11 12 13; do
   assert_line "$n" '"ok":true' "reply $n ok"
   assert_line "$n" '"micros":' "reply $n telemetry"
 done
