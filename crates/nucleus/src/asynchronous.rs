@@ -23,9 +23,8 @@
 //! * [`SweepMode::FlagScan`] is the paper's literal formulation: walk the
 //!   full permutation every sweep and test the wake flag per r-clique as
 //!   it goes (each idle one counted in `SchedulerStats::items_skipped`).
-//!   Picking up mid-sweep wakes in place (below) costs it recomputations:
-//!   25 % more than `Frontier` for core on a 100 000-vertex Holme–Kim
-//!   graph.
+//!   Picking up mid-sweep wakes in place (below) moves its recomputations
+//!   by well under 1 % either way against `Frontier`.
 //! * [`SweepMode::FullScan`] disables notification entirely (the Figure-8
 //!   ablation baseline): every sweep recomputes every r-clique.
 //!
@@ -35,6 +34,28 @@
 //! for the next sweep. Under `Frontier` a sweep's set is fixed at its
 //! start, so an r-clique asleep then also waits for the next sweep
 //! (`FlagScan` picks it up in place if its position is still ahead).
+//!
+//! ## Which drops wake whom
+//!
+//! A drop τ(i): `old` → `new` changes ρ only in the containers that hold
+//! i. For a co-member `o` it can flip "this container has ρ ≥ τ(o)" only
+//! when `new < τ(o) ≤ old`: if τ(o) ≤ `new`, i still clears τ(o); if
+//! τ(o) > `old`, i already failed it. So a drop raises the flags of those
+//! co-members only, which keeps one invariant:
+//!
+//! > every unflagged r-clique `o` has τ(o) ≤ U(o, τ), i.e. at least τ(o)
+//! > of its containers have ρ ≥ τ(o).
+//!
+//! A visit unflags `o`, then stores `min(old, H)`, so the invariant holds
+//! right after it (U(o) reads only the *other* members' τ). A later drop
+//! elsewhere either leaves the count it rests on unchanged or raises o's
+//! flag. On an empty frontier the invariant holds for every r-clique, so
+//! each set {τ ≥ k} gives each of its members ≥ k containers inside the
+//! set, hence τ ≤ κ; Theorem 1 gives τ ≥ κ, so τ = κ. The sequential
+//! driver therefore stops after the first sweep that changes nothing: it
+//! raised no flag, so it leaves the frontier empty, and no certification
+//! sweep follows. The first sweep still visits every r-clique, so
+//! Theorem 4's single sweep in peel order is untouched.
 //!
 //! ## Flat container cache
 //!
@@ -59,10 +80,13 @@
 //! (Theorem 1; arXiv:1704.00386 makes the same argument): every schedule
 //! descends to the same fixed point, in the worst case at the synchronous
 //! rate. Sweeps are separated by the join of the chunk loop (a per-sweep
-//! barrier); there is no worklist and no quiescence protocol. A sweep that
-//! changed nothing while some r-cliques slept is followed by one final
-//! sweep with every flag raised, which certifies the fixed point, so
-//! results are exact regardless of races. [`SweepMode::Frontier`] and
+//! barrier); there is no worklist and no quiescence protocol. Drops wake
+//! through the same filter as above, but a worker may read a co-member's
+//! τ while another worker lowers it and so skip a raise the sequential
+//! driver would make. A sweep that changed nothing while some r-cliques
+//! slept is therefore followed by one final sweep with every flag raised;
+//! it covers only such races, and makes results exact regardless of
+//! them. [`SweepMode::Frontier`] and
 //! [`SweepMode::FlagScan`] are the same run here; [`SweepMode::FullScan`]
 //! ignores the flags.
 
@@ -252,29 +276,44 @@ impl SeqFrontier {
     /// Runs one sweep over the snapshot and returns its update count.
     /// Each r-clique is unflagged before it is recomputed, so a same-sweep
     /// neighbor update re-schedules it (the paper's line 17).
-    fn sweep<A: SweepAccess>(
-        &mut self,
-        access: &A,
-        tau: &mut [u32],
-        buf: &mut HBuffer,
-        preserve: bool,
-    ) -> usize {
+    fn sweep<A: SweepAccess>(&mut self, access: &A, tau: &mut [u32], buf: &mut HBuffer) -> usize {
         let SeqFrontier { queued, snapshot } = self;
         let mut updates = 0;
         for &iu in snapshot.iter() {
             let i = iu as usize;
             queued[i] = false;
             let old = tau[i];
-            let new = access.recompute(i, old, |o| tau[o], buf, preserve).min(old);
+            let new = access.recompute(i, old, |o| tau[o], buf).min(old);
             if new != old {
                 debug_assert!(new < old);
                 tau[i] = new;
                 updates += 1;
-                access.wake(i, |o| queued[o] = true);
+                notify(access, i, old, new, |o| tau[o], |o| queued[o] = true);
             }
         }
         updates
     }
+}
+
+/// The §4.2.1 notification of a drop τ(i): `old` → `new`. Raises (via
+/// `raise`) the flag of each co-member `o` with `new < τ(o) ≤ old`, the
+/// only ones whose count of containers with ρ ≥ τ(o) the drop can change
+/// (see "Which drops wake whom" in the module docs). `read` serves τ.
+#[inline]
+fn notify<A: SweepAccess>(
+    access: &A,
+    i: usize,
+    old: u32,
+    new: u32,
+    read: impl Fn(usize) -> u32,
+    mut raise: impl FnMut(usize),
+) {
+    access.wake(i, |o| {
+        let t = read(o);
+        if new < t && t <= old {
+            raise(o);
+        }
+    });
 }
 
 fn and_sequential<A: SweepAccess>(
@@ -319,7 +358,7 @@ fn and_sequential<A: SweepAccess>(
             Some(f) => {
                 f.begin_sweep(perm);
                 processed = f.snapshot.len();
-                updates = f.sweep(access, &mut tau, &mut buf, cfg.preserve_check);
+                updates = f.sweep(access, &mut tau, &mut buf);
             }
             None => {
                 for &iu in perm {
@@ -335,14 +374,13 @@ fn and_sequential<A: SweepAccess>(
                         active[i] = false;
                     }
                     let old = tau[i];
-                    let new =
-                        access.recompute(i, old, |o| tau[o], &mut buf, cfg.preserve_check).min(old);
+                    let new = access.recompute(i, old, |o| tau[o], &mut buf).min(old);
                     if new != old {
                         debug_assert!(new < old);
                         tau[i] = new;
                         updates += 1;
                         if mode == SweepMode::FlagScan {
-                            access.wake(i, |o| active[o] = true);
+                            notify(access, i, old, new, |o| tau[o], |o| active[o] = true);
                         }
                     }
                 }
@@ -358,15 +396,8 @@ fn and_sequential<A: SweepAccess>(
         }
 
         if updates == 0 {
-            // With notifications, a zero-update sweep may simply mean
-            // "nobody was awake"; certify with one full sweep.
-            if processed < n {
-                match &mut frontier {
-                    Some(f) => f.queued.fill(true),
-                    None => active.iter_mut().for_each(|a| *a = true),
-                }
-                continue;
-            }
+            // A sweep that changed nothing raised no flag, so the frontier
+            // is empty: τ = κ (see "Which drops wake whom" above).
             converged = true;
             break;
         }
@@ -403,6 +434,9 @@ fn and_parallel<A: SweepAccess>(
     // All r-cliques start active, as in the paper; FullScan never reads
     // the flags, so don't pay the O(n).
     let active = AtomicBitset::new(if flags { n } else { 0 }, true);
+    let raise = |o: usize| {
+        active.set(o);
+    };
 
     let mut scheduler = SchedulerStats::from_chunks(vec![0; cfg.parallel.threads]);
     let mut updates_per_iter = Vec::new();
@@ -444,15 +478,12 @@ fn and_parallel<A: SweepAccess>(
                 }
                 local_processed += 1;
                 let old = tau.get(i);
-                let new =
-                    access.recompute(i, old, |o| tau.get(o), buf, cfg.preserve_check).min(old);
+                let new = access.recompute(i, old, |o| tau.get(o), buf).min(old);
                 if new != old {
                     tau.set(i, new);
                     local_updates += 1;
                     if flags {
-                        access.wake(i, |o| {
-                            active.set(o);
-                        });
+                        notify(access, i, old, new, |o| tau.get(o), raise);
                     }
                 }
             }
@@ -487,8 +518,8 @@ fn and_parallel<A: SweepAccess>(
         }
 
         if u == 0 {
-            // Races (or sleeping cliques) could hide pending work: certify
-            // the fixed point with a full sweep before declaring victory.
+            // A wake lost to a race could hide pending work: certify the
+            // fixed point with a full sweep before declaring victory.
             // (FullScan always visits all n, so `p < n` implies `flags`.)
             if p < n {
                 for i in 0..n {
@@ -690,8 +721,8 @@ mod tests {
 
     /// `max_iterations` is a hard cap in every driver: at most `cap` sweeps,
     /// τ ≥ κ pointwise, τ₀ itself at cap 0, and `converged` only for a
-    /// certified fixed point — a run the cap stops before its
-    /// certification sweep is not converged.
+    /// certified fixed point — a run the cap stops before its zero-update
+    /// sweep is not converged.
     #[test]
     fn max_iterations_is_a_hard_cap_in_every_driver() {
         let fig2 = paper_fig2_graph();
@@ -734,11 +765,13 @@ mod tests {
                 }
             }
         }
-        // The figure-2 run needs a certification sweep after its last
-        // update; a cap of 3 now stops short of it.
+        // The figure-2 run ends on a zero-update sweep after its two
+        // updating ones: a cap of 3 converges, a cap of 2 stops short.
         let sp = CoreSpace::new(&fig2);
         let capped = and(&sp, &LocalConfig::sequential().max_iterations(3), &Order::Natural);
-        assert_eq!((capped.sweeps, capped.converged), (3, false));
+        assert_eq!((capped.sweeps, capped.converged), (3, true));
+        let capped = and(&sp, &LocalConfig::sequential().max_iterations(2), &Order::Natural);
+        assert_eq!((capped.sweeps, capped.converged), (2, false));
         // At cap 0 a warm start comes back untouched.
         let warm: Vec<u32> = sp.initial_degrees().iter().map(|d| d + 1).collect();
         for cfg in [LocalConfig::sequential(), LocalConfig::with_threads(2)] {
@@ -749,9 +782,11 @@ mod tests {
     }
 
     /// The `Frontier` schedule written as an ordered worklist keyed by
-    /// permutation rank: a sweep pops its set in rank order; a wake queues
-    /// an r-clique for the next sweep unless it is still pending in this
-    /// one. Returns τ and the per-sweep updates and processed counts.
+    /// permutation rank: a sweep pops its set in rank order; a drop
+    /// `old` → `new` wakes each co-member with `new < τ ≤ old`, queuing it
+    /// for the next sweep unless it is still pending in this one; the run
+    /// ends after a sweep without updates. Returns τ and the per-sweep
+    /// updates and processed counts.
     fn rank_worklist_reference<S: CliqueSpace>(
         space: &S,
         perm: &[u32],
@@ -778,12 +813,13 @@ mod tests {
                 let i = perm[k] as usize;
                 processed += 1;
                 let old = tau[i];
-                let new = access.recompute(i, old, |o| tau[o], &mut buf, true).min(old);
+                let new = access.recompute(i, old, |o| tau[o], &mut buf).min(old);
                 if new != old {
                     tau[i] = new;
                     updates += 1;
                     access.wake(i, |o| {
-                        if !pending.contains(&rank[o]) {
+                        let t = tau[o];
+                        if new < t && t <= old && !pending.contains(&rank[o]) {
                             next.insert(rank[o]);
                         }
                     });
@@ -792,10 +828,7 @@ mod tests {
             updates_per_iter.push(updates);
             processed_per_iter.push(processed);
             if updates == 0 {
-                if processed == n {
-                    break;
-                }
-                next = (0..n).collect(); // the certification sweep
+                break;
             }
         }
         (tau, updates_per_iter, processed_per_iter)

@@ -19,9 +19,10 @@ pub enum SweepMode {
     Frontier,
     /// The paper's literal §4.2.1 formulation: scan the full permutation
     /// every iteration and check a wake flag per r-clique. Recomputes
-    /// essentially the same work as `Frontier` (an idle r-clique woken
-    /// mid-sweep at a later position is picked up one sweep earlier), but
-    /// pays `O(n)` flag checks per sweep; kept as an ablation reference.
+    /// the same work as `Frontier` to within a fraction of a percent (an
+    /// idle r-clique woken mid-sweep at a later position is picked up one
+    /// sweep earlier), but pays `O(n)` flag checks per sweep; kept as an
+    /// ablation reference.
     FlagScan,
     /// No notification at all: recompute every r-clique every iteration
     /// (the Figure-8 baseline).
@@ -38,15 +39,13 @@ pub const DEFAULT_CONTAINER_CACHE_BUDGET: usize = 256 << 20;
 pub struct LocalConfig {
     /// Thread/scheduling configuration.
     pub parallel: ParallelConfig,
-    /// Hard iteration cap, checked before every sweep (the certification
-    /// sweep included); `None` runs to convergence. `Some(0)` returns τ₀
-    /// untouched. Capped runs are the paper's approximation mode (τ_t is a
-    /// valid upper bound on κ at every t, by Theorem 1), and a run the cap
-    /// stops before it certifies a fixed point reports `converged: false`.
+    /// Hard iteration cap, checked before every sweep (the final
+    /// zero-update sweep included, and parallel And's certification sweep);
+    /// `None` runs to convergence. `Some(0)` returns τ₀ untouched. Capped
+    /// runs are the paper's approximation mode (τ_t is a valid upper bound
+    /// on κ at every t, by Theorem 1), and a run the cap stops before its
+    /// zero-update sweep reports `converged: false`.
     pub max_iterations: Option<usize>,
-    /// Enable the §4.4 early-exit check ("once we see ≥ τ items with at
-    /// least τ index, no more checks needed") before full recomputation.
-    pub preserve_check: bool,
     /// Stability-based stopping (the paper's ground-truth-free quality
     /// indicator for runtime/accuracy decisions): stop once the fraction of
     /// r-cliques whose τ changed in a sweep drops to `1 − threshold` — i.e.
@@ -68,7 +67,6 @@ impl Default for LocalConfig {
         LocalConfig {
             parallel: ParallelConfig::sequential(),
             max_iterations: None,
-            preserve_check: true,
             stability_threshold: None,
             sweep_mode: SweepMode::Frontier,
             container_cache_budget: Some(DEFAULT_CONTAINER_CACHE_BUDGET),
@@ -90,12 +88,6 @@ impl LocalConfig {
     /// Caps the number of iterations (approximation mode).
     pub fn max_iterations(mut self, n: usize) -> Self {
         self.max_iterations = Some(n);
-        self
-    }
-
-    /// Disables the preserve-τ early exit (for ablation).
-    pub fn without_preserve_check(mut self) -> Self {
-        self.preserve_check = false;
         self
     }
 
@@ -158,11 +150,17 @@ pub struct IterationEvent<'a> {
 pub struct ConvergenceResult {
     /// Final τ values. Equal to the exact κ indices when `converged`.
     pub tau: Vec<u32>,
-    /// Total sweeps executed, including the final zero-update sweep that
-    /// certifies convergence.
+    /// Total sweeps executed, including the final zero-update sweep. For
+    /// Snd, FullScan and parallel And that sweep visits all n r-cliques
+    /// and certifies convergence; under sequential `Frontier` and
+    /// `FlagScan` it visits only what the frontier still holds (possibly
+    /// nothing), and leaves it empty.
     pub sweeps: usize,
-    /// Whether the run reached a certified fixed point (false when the
-    /// iteration cap or the stability rule stopped it first).
+    /// Whether the run reached a fixed point, i.e. τ = κ (false when the
+    /// iteration cap or the stability rule stopped it first). Sequential
+    /// `Frontier` and `FlagScan` know it from an empty frontier (see the
+    /// `asynchronous` module docs); the other runs from a zero-update sweep
+    /// over all n.
     pub converged: bool,
     /// τ-updates per sweep.
     pub updates_per_iter: Vec<usize>,
@@ -177,8 +175,8 @@ pub struct ConvergenceResult {
 
 impl ConvergenceResult {
     /// Iterations the paper would report: sweeps that performed at least
-    /// one update (the trailing zero-update certification sweep and any
-    /// notification-idle sweeps are excluded).
+    /// one update (the trailing zero-update sweep, and for parallel And
+    /// any sweep that found nobody awake, are excluded).
     pub fn iterations_to_converge(&self) -> usize {
         self.updates_per_iter.iter().filter(|&&u| u > 0).count()
     }
@@ -215,10 +213,8 @@ mod tests {
 
     #[test]
     fn config_builders() {
-        let c = LocalConfig::with_threads(4).max_iterations(7).without_preserve_check();
+        let c = LocalConfig::with_threads(4).max_iterations(7);
         assert_eq!(c.parallel.threads, 4);
         assert_eq!(c.max_iterations, Some(7));
-        assert!(!c.preserve_check);
-        assert!(LocalConfig::default().preserve_check);
     }
 }

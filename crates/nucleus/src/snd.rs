@@ -84,7 +84,7 @@ fn snd_driver<A: SweepAccess>(
             let mut local_updates = 0usize;
             for i in range {
                 let old = tau_prev_ref[i];
-                let new = access.recompute(i, old, |o| tau_prev_ref[o], buf, cfg.preserve_check);
+                let new = access.recompute(i, old, |o| tau_prev_ref[o], buf);
                 debug_assert!(new <= old, "monotonicity violated at {i}: {old} -> {new}");
                 if new != old {
                     tau_ref.set(i, new);
@@ -208,16 +208,6 @@ mod tests {
             // Snd is deterministic: same iteration count too.
             assert_eq!(par.sweeps, seq.sweeps);
         }
-    }
-
-    #[test]
-    fn preserve_check_does_not_change_results() {
-        let g = hdsd_datasets::holme_kim(300, 4, 0.5, 9);
-        let sp = TrussSpace::precomputed(&g);
-        let with = snd(&sp, &LocalConfig::sequential());
-        let without = snd(&sp, &LocalConfig::sequential().without_preserve_check());
-        assert_eq!(with.tau, without.tau);
-        assert_eq!(with.sweeps, without.sweeps);
     }
 
     #[test]

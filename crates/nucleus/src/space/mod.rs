@@ -120,19 +120,13 @@ pub(crate) trait SweepAccess: Sync {
     fn initial(&self) -> Vec<u32>;
 
     /// Recomputes `H({ρ(S, R_i)})` for r-clique `i` against the τ values
-    /// served by `read`, with the §4.4 preserve-τ shortcut against `old`
-    /// when `preserve` is set. Returns the raw h-index (callers clamp).
-    fn recompute<F: Fn(usize) -> u32>(
-        &self,
-        i: usize,
-        old: u32,
-        read: F,
-        buf: &mut HBuffer,
-        preserve: bool,
-    ) -> u32;
+    /// served by `read`, after the §4.4 preserve-τ shortcut against `old`.
+    /// Returns the raw h-index (callers clamp).
+    fn recompute<F: Fn(usize) -> u32>(&self, i: usize, old: u32, read: F, buf: &mut HBuffer)
+        -> u32;
 
-    /// Calls `f` for every r-clique sharing a container with `i` (the wake
-    /// set of the notification mechanism). May repeat ids.
+    /// Calls `f` for every r-clique sharing a container with `i` (the
+    /// candidates the notification mechanism filters). May repeat ids.
     fn wake<F: FnMut(usize)>(&self, i: usize, f: F);
 }
 
@@ -155,7 +149,6 @@ impl<S: CliqueSpace> SweepAccess for WalkAccess<'_, S> {
         old: u32,
         read: F,
         buf: &mut HBuffer,
-        preserve: bool,
     ) -> u32 {
         if old == 0 {
             return 0;
@@ -167,24 +160,22 @@ impl<S: CliqueSpace> SweepAccess for WalkAccess<'_, S> {
             }
             m
         };
-        if preserve {
-            // §4.4: at least `old` containers with ρ ≥ old ⇒ H stays `old`.
-            let mut qualifying = 0u32;
-            let preserved = self
-                .0
-                .try_for_each_container(i, |others| {
-                    if rho_of(others) >= old {
-                        qualifying += 1;
-                        if qualifying >= old {
-                            return std::ops::ControlFlow::Break(());
-                        }
+        // §4.4: at least `old` containers with ρ ≥ old ⇒ H stays `old`.
+        let mut qualifying = 0u32;
+        let preserved = self
+            .0
+            .try_for_each_container(i, |others| {
+                if rho_of(others) >= old {
+                    qualifying += 1;
+                    if qualifying >= old {
+                        return std::ops::ControlFlow::Break(());
                     }
-                    std::ops::ControlFlow::Continue(())
-                })
-                .is_break();
-            if preserved {
-                return old;
-            }
+                }
+                std::ops::ControlFlow::Continue(())
+            })
+            .is_break();
+        if preserved {
+            return old;
         }
         let deg = self.0.degree(i) as usize;
         let mut session = buf.session(deg);
@@ -218,7 +209,6 @@ impl SweepAccess for FlatAccess<'_> {
         old: u32,
         read: F,
         buf: &mut HBuffer,
-        preserve: bool,
     ) -> u32 {
         if old == 0 {
             return 0;
@@ -226,7 +216,7 @@ impl SweepAccess for FlatAccess<'_> {
         let others = self.0.containers(i);
         let group = self.0.group();
         let tau_of = |o: u32| read(o as usize);
-        if preserve && hdsd_hindex::fused_rho_preserves(others, group, old, tau_of) {
+        if hdsd_hindex::fused_rho_preserves(others, group, old, tau_of) {
             return old;
         }
         buf.fused_rho_h(others, group, tau_of)

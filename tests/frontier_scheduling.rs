@@ -13,6 +13,10 @@ use hdsd::datasets::{erdos_renyi_gnm, holme_kim};
 use hdsd::prelude::*;
 use proptest::prelude::*;
 
+#[path = "../crates/nucleus/tests/common/mod.rs"]
+mod common;
+use common::BruteSpace;
+
 fn frontier_cfg() -> LocalConfig {
     LocalConfig::default().sweep_mode(SweepMode::Frontier)
 }
@@ -91,11 +95,82 @@ proptest! {
             flags.scheduler.items_processed + flags.scheduler.items_skipped,
             (sp.num_cliques() * flags.sweeps) as u64
         );
-        // On fast-converging graphs the frontier's trailing certification
-        // epoch (plus its ≤1-sweep wake lag vs the in-sweep flag pickup)
-        // can add up to two extra full passes; beyond that it must win.
+        // The frontier ends on the sweep that empties it, with no
+        // certification pass, but a wake it defers to the next sweep is
+        // one FullScan reads in place, so on fast-converging graphs its
+        // longer tail may cost up to two full passes; beyond that it must
+        // win.
         let slack = 2 * sp.num_cliques() as u64;
         prop_assert!(frontier.total_processed() <= full.total_processed() + slack);
+    }
+}
+
+/// One full sweep from `tau` with notification off: the certification
+/// sweep the sequential drivers leave out.
+fn full_sweep_from<S: CliqueSpace>(space: &S, tau: &[u32]) -> ConvergenceResult {
+    let opts =
+        AndOptions { tau_init: Some(tau.to_vec()), notification: false, ..AndOptions::default() };
+    and_opts(space, &LocalConfig::sequential().max_iterations(1), &Order::Natural, opts)
+        .expect("an unarmed token never cancels")
+}
+
+/// Every sequential And run on `space` stops where one more full sweep
+/// changes nothing, and on κ: Frontier and FlagScan × every `Order` ×
+/// cold and warm (κ bumped on every fifth r-clique, still an upper bound).
+fn assert_sequential_and_stops_on_a_fixed_point<S: CliqueSpace>(space: &S, seed: u64) {
+    let n = space.num_cliques();
+    let p = peel(space);
+    let bumped: Vec<u32> = (0..n)
+        .map(|i| p.kappa[i] + if (i as u64 + seed).is_multiple_of(5) { 2 } else { 0 })
+        .collect();
+    let orders = [
+        Order::Natural,
+        Order::Reverse,
+        Order::Random(seed),
+        Order::IncreasingDegree,
+        Order::Custom(p.order.clone()),
+    ];
+    for mode in [SweepMode::Frontier, SweepMode::FlagScan] {
+        for order in &orders {
+            for tau_init in [None, Some(bumped.clone())] {
+                let tag =
+                    format!("{} {mode:?} {order:?} warm={}", space.name(), tau_init.is_some());
+                let opts = AndOptions { tau_init, ..AndOptions::default() };
+                let cfg = LocalConfig::sequential().sweep_mode(mode);
+                let r = and_opts(space, &cfg, order, opts).expect("unarmed");
+                assert!(r.converged, "{tag}");
+                let check = full_sweep_from(space, &r.tau);
+                assert_eq!(check.total_processed(), n as u64, "{tag}");
+                assert_eq!(check.total_updates(), 0, "{tag}: a full sweep still moves τ");
+                assert_eq!(r.tau, p.kappa, "{tag}");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    // The sequential drivers stop on an empty frontier without a
+    // certification sweep; this runs that sweep after each of them.
+    #[test]
+    fn sequential_and_stops_on_a_fixed_point(
+        n in 30u32..120,
+        m in 2u32..6,
+        seed in 0u64..10_000,
+        extra in 0usize..40,
+    ) {
+        let g = holme_kim(n, m, 0.6, seed);
+        assert_sequential_and_stops_on_a_fixed_point(&CoreSpace::new(&g), seed);
+        assert_sequential_and_stops_on_a_fixed_point(&TrussSpace::precomputed(&g), seed);
+        assert_sequential_and_stops_on_a_fixed_point(&Nucleus34Space::precomputed(&g), seed);
+        for (r, s) in [(1, 3), (2, 4)] {
+            assert_sequential_and_stops_on_a_fixed_point(&CachedSpace::from_graph(&g, r, s), seed);
+        }
+        let small = erdos_renyi_gnm(14, 20 + extra, seed);
+        for (r, s) in [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)] {
+            assert_sequential_and_stops_on_a_fixed_point(&BruteSpace::new(&small, r, s), seed);
+        }
     }
 }
 
@@ -143,8 +218,8 @@ fn pinned_sequential_counts<S: CliqueSpace>(space: &S, expected: [(u64, usize); 
 #[test]
 fn frontier_processed_beats_full_permutation_scanning() {
     let g = holme_kim(4_000, 4, 0.5, 42);
-    pinned_sequential_counts(&CoreSpace::new(&g), [(30_979, 32), (37_402, 32), (124_000, 31)]);
-    pinned_sequential_counts(&TrussSpace::precomputed(&g), [(38_280, 9), (38_297, 7), (95_940, 6)]);
+    pinned_sequential_counts(&CoreSpace::new(&g), [(10_577, 31), (10_583, 31), (124_000, 31)]);
+    pinned_sequential_counts(&TrussSpace::precomputed(&g), [(17_075, 8), (17_073, 6), (95_940, 6)]);
 }
 
 /// Parallel `Frontier` on the long-tail graph: exact, and the chunk
