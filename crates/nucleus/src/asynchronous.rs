@@ -14,12 +14,15 @@
 //! awake set is *scheduled* is a separate choice ([`crate::SweepMode`]):
 //!
 //! * [`SweepMode::Frontier`] (default) visits only the awake r-cliques.
-//!   Sequentially a wake only raises the r-clique's flag, and each sweep
-//!   starts with one linear pass over the permutation that collects the
-//!   flagged r-cliques, in permutation order, into the sweep's snapshot.
-//!   Scheduling costs one tight `O(n)` bitmap filter per sweep and one
-//!   store per wake. With more than one thread the awake set is the flag
-//!   bitmap below (see "Parallel variant").
+//!   Sequentially the awake set is two bitsets indexed by rank (position
+//!   in the permutation): this sweep's and the next one's. A sweep walks
+//!   the set bits of the first word by word, in ascending rank, which is
+//!   permutation order; a wake is one OR into the second. Scheduling costs
+//!   `O(n/64 + awake)` per sweep, and sweep 1, with every bit set, needs
+//!   no filter. [`Order::Natural`] is the identity, so it materialises
+//!   neither the permutation nor a rank array; any other order pays one
+//!   `u32` rank per r-clique. With more than one thread the awake set is
+//!   the flag bitmap below (see "Parallel variant").
 //! * [`SweepMode::FlagScan`] is the paper's literal formulation: walk the
 //!   full permutation every sweep and test the wake flag per r-clique as
 //!   it goes (each idle one counted in `SchedulerStats::items_skipped`).
@@ -228,17 +231,21 @@ pub fn and_opts<S: CliqueSpace>(
     if let Some(tau) = &opts.tau_init {
         assert_eq!(tau.len(), space.num_cliques(), "tau_init length mismatch");
     }
-    let perm = order.permutation(space);
+    let explicit = match order {
+        Order::Natural => None,
+        _ => Some(order.permutation(space)),
+    };
+    let perm = explicit.as_deref().map_or(Perm::Identity, Perm::Explicit);
     match resolve_rows(space, cfg.container_cache_budget) {
-        Some(rows) => drive(&FlatAccess(&rows), cfg, &perm, opts),
-        None => drive(&WalkAccess(space), cfg, &perm, opts),
+        Some(rows) => drive(&FlatAccess(&rows), cfg, perm, opts),
+        None => drive(&WalkAccess(space), cfg, perm, opts),
     }
 }
 
 fn drive<A: SweepAccess>(
     access: &A,
     cfg: &LocalConfig,
-    perm: &[u32],
+    perm: Perm<'_>,
     opts: AndOptions<'_>,
 ) -> Result<ConvergenceResult, Cancelled> {
     if cfg.parallel.threads <= 1 {
@@ -248,51 +255,126 @@ fn drive<A: SweepAccess>(
     }
 }
 
-/// The sequential driver's awake set under [`SweepMode::Frontier`].
-///
-/// A plain bool array holds the set. A wake, the hottest frontier
-/// operation (one per container member per update), is one plain store
-/// into it. A sweep's snapshot is `perm` filtered by the flags in one
-/// linear pass, so it holds the awake set in permutation order and is
-/// fixed at the sweep's start.
-struct SeqFrontier {
-    queued: Vec<bool>,
-    snapshot: Vec<u32>,
+/// A processing order as the drivers read it: `id(k)` is the r-clique of
+/// rank k. [`Order::Natural`] is the identity and is never materialised.
+#[derive(Clone, Copy)]
+enum Perm<'a> {
+    Identity,
+    Explicit(&'a [u32]),
 }
 
-impl SeqFrontier {
-    fn seeded(n: usize) -> Self {
-        SeqFrontier { queued: vec![true; n], snapshot: Vec::with_capacity(n) }
+impl Perm<'_> {
+    #[inline]
+    fn id(self, k: usize) -> usize {
+        match self {
+            Perm::Identity => k,
+            Perm::Explicit(p) => p[k] as usize,
+        }
+    }
+}
+
+/// The sequential driver's awake set under [`SweepMode::Frontier`]: two
+/// bitsets indexed by rank (position in the permutation), this sweep's
+/// and the next one's.
+///
+/// A sweep walks the set bits of `current` word by word in ascending
+/// rank, which is permutation order, so it costs `O(n/64 + awake)`.
+/// Wakes set bits of `next` only, so a sweep's set is fixed at its start.
+/// A visit clears the r-clique's bit in both, which absorbs a wake that
+/// reached it before its visit. A wake, the hottest frontier operation
+/// (one per reachable co-member per update), is one OR into `next`. The
+/// two swap at the sweep's end, when `current` has been emptied.
+struct SeqFrontier<'a> {
+    perm: Perm<'a>,
+    /// `rank[i]` is r-clique i's position in `perm`; empty for the identity.
+    rank: Vec<u32>,
+    current: Vec<u64>,
+    next: Vec<u64>,
+}
+
+impl<'a> SeqFrontier<'a> {
+    /// Every r-clique awake, so sweep 1 visits all n without a filter.
+    fn seeded(perm: Perm<'a>, n: usize) -> Self {
+        let mut current = vec![u64::MAX; n.div_ceil(64)];
+        if !n.is_multiple_of(64) {
+            current[n / 64] = (1 << (n % 64)) - 1;
+        }
+        let rank = match perm {
+            Perm::Identity => Vec::new(),
+            Perm::Explicit(p) => {
+                let mut rank = vec![0; n];
+                for (k, &i) in p.iter().enumerate() {
+                    rank[i as usize] = k as u32;
+                }
+                rank
+            }
+        };
+        SeqFrontier { perm, rank, next: vec![0; current.len()], current }
     }
 
-    /// Fills the sweep snapshot with the queued r-cliques in permutation
-    /// order. Flags stay set until each r-clique is visited.
-    fn begin_sweep(&mut self, perm: &[u32]) {
-        let queued = &self.queued;
-        self.snapshot.clear();
-        self.snapshot.extend(perm.iter().copied().filter(|&i| queued[i as usize]));
+    /// Runs one sweep and returns its processed and update counts.
+    fn sweep<A: SweepAccess>(
+        &mut self,
+        access: &A,
+        tau: &mut [u32],
+        buf: &mut HBuffer,
+    ) -> (usize, usize) {
+        let SeqFrontier { perm, rank, current, next } = self;
+        let counts = match *perm {
+            Perm::Identity => sweep_bits(access, current, next, tau, buf, |k| k, |i| i),
+            Perm::Explicit(p) => {
+                sweep_bits(access, current, next, tau, buf, |k| p[k] as usize, |i| rank[i] as usize)
+            }
+        };
+        std::mem::swap(current, next);
+        counts
     }
+}
 
-    /// Runs one sweep over the snapshot and returns its update count.
-    /// Each r-clique is unflagged before it is recomputed, so a same-sweep
-    /// neighbor update re-schedules it (the paper's line 17).
-    fn sweep<A: SweepAccess>(&mut self, access: &A, tau: &mut [u32], buf: &mut HBuffer) -> usize {
-        let SeqFrontier { queued, snapshot } = self;
-        let mut updates = 0;
-        for &iu in snapshot.iter() {
-            let i = iu as usize;
-            queued[i] = false;
+/// Visits the set bits of `current` in ascending rank, emptying it, and
+/// returns the processed and update counts. `id` maps a rank to its
+/// r-clique, `rank` the other way. Each r-clique is unflagged before it is
+/// recomputed, so a same-sweep neighbor update re-schedules it (the
+/// paper's line 17).
+fn sweep_bits<A: SweepAccess>(
+    access: &A,
+    current: &mut [u64],
+    next: &mut [u64],
+    tau: &mut [u32],
+    buf: &mut HBuffer,
+    id: impl Fn(usize) -> usize,
+    rank: impl Fn(usize) -> usize,
+) -> (usize, usize) {
+    let (mut processed, mut updates) = (0, 0);
+    for w in 0..current.len() {
+        let mut bits = std::mem::take(&mut current[w]);
+        processed += bits.count_ones() as usize;
+        while bits != 0 {
+            let bit = bits.trailing_zeros();
+            bits &= bits - 1;
+            next[w] &= !(1 << bit);
+            let i = id(w * 64 + bit as usize);
             let old = tau[i];
             let new = access.recompute(i, old, |o| tau[o], buf).min(old);
             if new != old {
                 debug_assert!(new < old);
                 tau[i] = new;
                 updates += 1;
-                notify(access, i, old, new, |o| tau[o], |o| queued[o] = true);
+                notify(
+                    access,
+                    i,
+                    old,
+                    new,
+                    |o| tau[o],
+                    |o| {
+                        let r = rank(o);
+                        next[r / 64] |= 1 << (r % 64);
+                    },
+                );
             }
         }
-        updates
     }
+    (processed, updates)
 }
 
 /// The §4.2.1 notification of a drop τ(i): `old` → `new`. Raises (via
@@ -319,7 +401,7 @@ fn notify<A: SweepAccess>(
 fn and_sequential<A: SweepAccess>(
     access: &A,
     cfg: &LocalConfig,
-    perm: &[u32],
+    perm: Perm<'_>,
     opts: AndOptions<'_>,
 ) -> Result<ConvergenceResult, Cancelled> {
     let AndOptions { notification, tau_init, cancel, mut observer } = opts;
@@ -329,8 +411,7 @@ fn and_sequential<A: SweepAccess>(
     let mut tau = tau_init.unwrap_or_else(|| access.initial());
     let mut buf = HBuffer::new();
 
-    let mut frontier =
-        if mode == SweepMode::Frontier { Some(SeqFrontier::seeded(n)) } else { None };
+    let mut frontier = (mode == SweepMode::Frontier).then(|| SeqFrontier::seeded(perm, n));
     // Wake flags, FlagScan only (all r-cliques start active, as in the
     // paper); the other modes never read them, so don't pay the O(n).
     let mut active = if mode == SweepMode::FlagScan { vec![true; n] } else { Vec::new() };
@@ -355,14 +436,10 @@ fn and_sequential<A: SweepAccess>(
         let mut updates = 0usize;
         let mut processed = 0usize;
         match &mut frontier {
-            Some(f) => {
-                f.begin_sweep(perm);
-                processed = f.snapshot.len();
-                updates = f.sweep(access, &mut tau, &mut buf);
-            }
+            Some(f) => (processed, updates) = f.sweep(access, &mut tau, &mut buf),
             None => {
-                for &iu in perm {
-                    let i = iu as usize;
+                for k in 0..n {
+                    let i = perm.id(k);
                     if mode == SweepMode::FlagScan && !active[i] {
                         scheduler.items_skipped += 1;
                         continue;
@@ -422,7 +499,7 @@ fn and_sequential<A: SweepAccess>(
 fn and_parallel<A: SweepAccess>(
     access: &A,
     cfg: &LocalConfig,
-    perm: &[u32],
+    perm: Perm<'_>,
     opts: AndOptions<'_>,
 ) -> Result<ConvergenceResult, Cancelled> {
     let AndOptions { notification, tau_init, cancel, mut observer } = opts;
@@ -466,7 +543,7 @@ fn and_parallel<A: SweepAccess>(
             let mut local_processed = 0usize;
             let mut local_skipped = 0u64;
             for k in range {
-                let i = perm[k] as usize;
+                let i = perm.id(k);
                 if flags {
                     if !active.get(i) {
                         local_skipped += 1;
@@ -834,7 +911,7 @@ mod tests {
         (tau, updates_per_iter, processed_per_iter)
     }
 
-    /// The bitmap-filtered snapshot schedules exactly as the rank-ordered
+    /// The rank-indexed bitsets schedule exactly as the rank-ordered
     /// worklist: same τ, sweeps and per-sweep counts, over every order
     /// kind, cold and from a bumped stale κ.
     fn assert_frontier_matches_reference<S: CliqueSpace>(space: &S, seed: u64) {
@@ -879,6 +956,19 @@ mod tests {
             assert_frontier_matches_reference(&TrussSpace::precomputed(&g), seed);
             assert_frontier_matches_reference(&Nucleus34Space::precomputed(&g), seed);
         }
+    }
+
+    /// Core's r-cliques are the n vertices, so these sizes end the
+    /// frontier's bitsets just below, on and just past a 64-bit word edge.
+    #[test]
+    fn frontier_matches_the_reference_at_word_boundaries() {
+        for n in [63, 64, 65, 127, 128, 129] {
+            let g = hdsd_datasets::holme_kim(n, 3, 0.6, 1);
+            let sp = CoreSpace::new(&g);
+            assert_eq!(sp.num_cliques(), n as usize);
+            assert_frontier_matches_reference(&sp, u64::from(n));
+        }
+        assert_frontier_matches_reference(&CoreSpace::new(&graph_from_edges([])), 0);
     }
 
     #[test]

@@ -8,10 +8,10 @@ use hdsd_parallel::{ParallelConfig, SchedulerStats};
 pub enum SweepMode {
     /// Frontier scheduling: visit only the awake r-cliques. The default —
     /// this is what makes late, nearly-converged iterations cheap.
-    /// Sequentially a wake only raises a flag, and each iteration starts
-    /// with one linear pass that filters the permutation by those flags,
-    /// so it costs `O(n)` cheap flag reads plus `O(frontier)`
-    /// recomputations. With more than one thread the
+    /// Sequentially a wake sets a bit, indexed by rank in the permutation,
+    /// in the next iteration's bitset, and an iteration walks the set bits
+    /// of its own bitset in rank order, so it costs `O(n/64)` word reads
+    /// plus `O(frontier)` recomputations. With more than one thread the
     /// awake set is the §4.2.1 flag bitmap scanned in
     /// [`ParallelConfig::chunk`]-sized dynamic chunks, i.e. exactly what
     /// [`SweepMode::FlagScan`] runs in parallel.
